@@ -43,11 +43,10 @@ from .solvers import (
     richardson,
 )
 from .spectrum import (
-    mass_gershgorin,
+    mass_bounds,
     model_eigen_bounds,
     model_eigenvalues_all,
     operator_bounds,
-    power_iteration_lambda_max,
 )
 
 __all__ = [
@@ -79,11 +78,10 @@ __all__ = [
     "local_mass_batch",
     "local_stiffness_batch",
     "mask_dirichlet",
-    "mass_gershgorin",
+    "mass_bounds",
     "model_eigen_bounds",
     "model_eigenvalues_all",
     "operator_bounds",
-    "power_iteration_lambda_max",
     "residual",
     "richardson",
     "run_experiment",

@@ -131,25 +131,28 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
     if callback is not None:
         callback(0, x, r)
 
-    for k in range(iters):
-        if tol is not None and norms[-1] <= tol * norms[0]:
-            break
-        x = advance(k, x, r)
-        if not np.all(np.isfinite(x)):
-            norms.append(float("inf"))
+    # a diverging iterate overflows before it turns non-finite; the checks
+    # below record that as divergence, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            if tol is not None and norms[-1] <= tol * norms[0]:
+                break
+            x = advance(k, x, r)
+            if not np.all(np.isfinite(x)):
+                norms.append(float("inf"))
+                if errors is not None:
+                    errors.append(float("inf"))
+                diverged = True
+                break
+            r = mask_dirichlet(residual(batch, x, threads, deterministic), dirichlet)
+            norms.append(float(np.linalg.norm(r)))
             if errors is not None:
-                errors.append(float("inf"))
-            diverged = True
-            break
-        r = mask_dirichlet(residual(batch, x, threads, deterministic), dirichlet)
-        norms.append(float(np.linalg.norm(r)))
-        if errors is not None:
-            errors.append(float(np.linalg.norm(x - reference)))
-        if callback is not None:
-            callback(k + 1, x, r)
-        if not np.isfinite(norms[-1]):
-            diverged = True
-            break
+                errors.append(float(np.linalg.norm(x - reference)))
+            if callback is not None:
+                callback(k + 1, x, r)
+            if not np.isfinite(norms[-1]):
+                diverged = True
+                break
 
     history = ConvergenceHistory(
         residual_norms=np.array(norms),

@@ -9,9 +9,13 @@ eigenvalues
 i, j = 1..n-2.  The extremes sit at i = j = 1 and i = j = n-2 and are exact
 complements: lambda1 + lambda2 = 8.
 
-For nu > 0 no closed form is used; bounds come from the model stiffness
-interval shifted by Gershgorin bounds on the mass matrix (lower end) and a
-power-iteration estimate with a safety margin (upper end).
+For nu > 0 the stiffness and mass parts are bounded separately and
+combined by Weyl's inequality: lambda_min(K + nu*M) >= lambda1 + nu*m_lo and
+lambda_max(K + nu*M) <= lambda2 + nu*m_hi, where [m_lo, m_hi] encloses the
+free-node mass spectrum by element-wise bounds (Wathen 1987).  The interval
+is guaranteed to enclose the spectrum and costs one pass over the elements.
+Both cases take lambda1 and lambda2 from the closed form above, so they
+assume the structured grid with n nodes per side.
 """
 
 from __future__ import annotations
@@ -22,10 +26,6 @@ import numpy.typing as npt
 from .elements import ElementBatch
 from .operators import DirichletData
 from .solvers import SpectralBounds
-
-POWER_ITERS = 1000
-POWER_TOL = 1e-10
-POWER_MARGIN = 1.05
 
 
 def model_eigenvalues_all(n: int) -> npt.NDArray[np.float64]:
@@ -51,79 +51,30 @@ def model_eigen_bounds(n: int) -> SpectralBounds:
     return SpectralBounds(lambda1=float(lam1), lambda2=float(8.0 - lam1))
 
 
-def _apply_masked(batch: ElementBatch, v: np.ndarray, nd: np.ndarray) -> np.ndarray:
-    """A*v restricted to free nodes (rows and columns at nd zeroed)."""
-    gathered = v[batch.index.ind_e[:, 0, :]]
-    av_local = np.einsum("ije,je->ie", batch.A_e, gathered)
-    out = np.bincount(batch.index.indt.ravel(), weights=av_local.ravel(),
-                      minlength=v.shape[0])
-    out[nd] = 0.0
-    return out
+def mass_bounds(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
+    """Element-wise enclosure of the free-node mass matrix spectrum.
 
+    Every P1 element mass matrix is area/12 * (ones + eye), whose extreme
+    eigenvalues are area/12 and area/3.  Summed over elements this gives
 
-def power_iteration_lambda_max(
-    batch: ElementBatch,
-    d: DirichletData,
-    iters: int = POWER_ITERS,
-    seed: int = 0,
-    tol: float = POWER_TOL,
-) -> float:
-    """Largest-eigenvalue estimate of the masked operator by power iteration.
+        diag(s)/12 <= M <= diag(s)/3,    s_i = sum of areas of elements at i,
 
-    Deterministic for a fixed seed.  The returned Rayleigh quotient
-    approaches the true maximum from below; callers add their own safety
-    margin when an enclosing interval is required.
+    in the Loewner order, and every principal submatrix keeps both
+    inequalities.  The free-node spectrum therefore lies in
+    [min s_i / 12, max s_i / 3] over free nodes i (Wathen 1987).  Areas are
+    read back from the batch as 2*trace(M_e), so M_e must follow the P1
+    pattern.
     """
-    if iters < 1:
-        raise ValueError(f"need at least one iteration, got {iters}")
-    n_n = int(batch.index.indt.max()) + 1
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n_n)
-    v[d.nd] = 0.0
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("start vector vanished after masking (no free nodes?)")
-    v /= nv
-
-    lam = 0.0
-    for _ in range(iters):
-        av = _apply_masked(batch, v, d.nd)
-        lam_new = float(v @ av)
-        nav = np.linalg.norm(av)
-        if nav == 0.0:
-            return 0.0
-        v = av / nav
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
-def mass_gershgorin(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
-    """Gershgorin enclosure of the free-node mass matrix spectrum.
-
-    Works matrix-free: per-node diagonals and row sums over free columns are
-    accumulated from the element batch.  Mass entries are nonnegative, so
-    row sum = center + radius and the disc edges are [2*diag - rowsum,
-    rowsum] per free row.
-    """
-    n_n = int(batch.index.indt.max()) + 1
     indt = batch.index.indt
+    n_n = int(indt.max()) + 1
+    area = 2.0 * np.einsum("iie->e", batch.M_e)
+    node_area = np.bincount(indt.ravel(), weights=np.tile(area, 3), minlength=n_n)
     is_free = np.ones(n_n, dtype=bool)
     is_free[d.nd] = False
-
-    free_cols = is_free[indt].astype(np.float64)  # (3, n_e)
-    row_sums_local = np.einsum("ije,je->ie", batch.M_e, free_cols)
-    row_sums = np.bincount(indt.ravel(), weights=row_sums_local.ravel(), minlength=n_n)
-    diags = np.zeros(n_n)
-    for j in range(3):
-        diags += np.bincount(indt[j], weights=batch.M_e[j, j, :], minlength=n_n)
-
-    lo = (2.0 * diags - row_sums)[is_free]
-    hi = row_sums[is_free]
-    if lo.size == 0:
+    s = node_area[is_free]
+    if s.size == 0:
         raise ValueError("no free nodes")
-    return max(float(lo.min()), 0.0), float(hi.max())
+    return float(s.min()) / 12.0, float(s.max()) / 3.0
 
 
 def operator_bounds(
@@ -131,19 +82,21 @@ def operator_bounds(
     d: DirichletData,
     n: int,
     nu: float,
-    seed: int = 0,
 ) -> SpectralBounds:
     """Spectral bounds for the experiment operator A = K + nu*M.
 
-    nu = 0 uses the closed-form model interval.  Otherwise the lower end is
-    the model stiffness minimum shifted by the Gershgorin floor of the mass
-    spectrum (a guaranteed lower bound), and the upper end is a
-    power-iteration estimate widened by a 5% margin.
+    nu = 0 uses the closed-form model interval [lambda1_K, 8 - lambda1_K].
+    Otherwise Weyl's inequality adds the element-wise mass bounds
+    [m_lo, m_hi] of ``mass_bounds`` to it:
+
+        [lambda1_K + nu*m_lo, (8 - lambda1_K) + nu*m_hi],
+
+    which encloses the free-node spectrum by construction.  Both branches
+    assume that the batch is the structured grid with n nodes per side.
     """
     base = model_eigen_bounds(n)
     if nu == 0.0:
         return base
-    m_lo, _ = mass_gershgorin(batch, d)
-    lam1 = base.lambda1 + nu * m_lo
-    lam2 = POWER_MARGIN * power_iteration_lambda_max(batch, d, seed=seed)
-    return SpectralBounds(lambda1=lam1, lambda2=float(max(lam2, lam1)))
+    m_lo, m_hi = mass_bounds(batch, d)
+    return SpectralBounds(lambda1=base.lambda1 + nu * m_lo,
+                          lambda2=base.lambda2 + nu * m_hi)

@@ -18,7 +18,7 @@ from ebsolve import (
     richardson,
     solve_reference,
 )
-from ebsolve.spectrum import model_eigen_bounds
+from ebsolve.spectrum import model_eigen_bounds, operator_bounds
 
 NO_CONSTRAINTS = DirichletData(np.array([], dtype=np.int64), np.array([]))
 
@@ -212,6 +212,21 @@ def test_cheb3_error_bound_every_step():
     e0 = hist.error_norms[0]
     for k, err in enumerate(hist.error_norms):
         assert err <= 2.0 * rho**k * e0 * (1.0 + 1e-6) + 1e-13
+
+
+@pytest.mark.parametrize("level,nu,iters", [(3, 10.0, 60), (5, 100.0, 300)])
+def test_cheb3_residual_envelope_with_mass_term(level, nu, iters):
+    # ||r_k|| <= 2 rho^k ||r_0|| holds only if operator_bounds encloses the
+    # spectrum; the 1e-12 term covers the round-off floor reached at level 5
+    m, batch, d, _ = make_problem(level, nu=nu)
+    bounds = operator_bounds(batch, d, 2**level + 1, nu)
+    _, hist = chebyshev3(batch, d, np.ones(m.n_nodes), bounds, iters)
+    rho = ((np.sqrt(bounds.lambda2) - np.sqrt(bounds.lambda1))
+           / (np.sqrt(bounds.lambda2) + np.sqrt(bounds.lambda1)))
+    r0 = hist.residual_norms[0]
+    assert len(hist.residual_norms) == iters + 1
+    for k, res in enumerate(hist.residual_norms):
+        assert res <= (2.0 * rho**k + 1e-12) * r0
 
 
 # ------------------------------------------------------- loop mechanics

@@ -1,21 +1,23 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import diagonal_batch, make_problem
+from conftest import make_problem
 
 from ebsolve import (
-    DirichletData,
+    Mesh,
     assemble_sparse,
     build_element_batch,
     build_grid_mesh,
+    build_unit_square_mesh,
     constant_dirichlet,
     dense_interior_eigenvalues,
-    mass_gershgorin,
+    mass_bounds,
     model_eigen_bounds,
     model_eigenvalues_all,
     operator_bounds,
-    power_iteration_lambda_max,
 )
 
 
@@ -72,52 +74,37 @@ def test_model_rejects_no_interior():
         model_eigen_bounds(2)
 
 
-def test_power_iteration_diagonal():
-    batch = diagonal_batch([1.0, 2.0, 1.5], [0.0, 0.0, 0.0])
-    d = DirichletData(np.array([2]), np.array([0.0]))
-    est = power_iteration_lambda_max(batch, d)
-    assert abs(est - 2.0) <= 1e-8
-
-
-def test_power_iteration_model_operator():
-    _, batch, d, _ = make_problem(2)
-    est = power_iteration_lambda_max(batch, d)
-    lam2 = model_eigen_bounds(5).lambda2
-    assert abs(est - lam2) <= 1e-6 * lam2
-    assert est <= lam2 * (1 + 1e-12)  # Rayleigh quotients approach from below
-
-
-def test_power_iteration_deterministic():
-    _, batch, d, _ = make_problem(3)
-    a = power_iteration_lambda_max(batch, d, seed=0)
-    b = power_iteration_lambda_max(batch, d, seed=0)
-    c = power_iteration_lambda_max(batch, d, seed=1)
-    assert a == b
-    assert abs(a - c) <= 1e-8 * abs(a)
-
-
-def test_power_iteration_all_constrained():
-    batch = diagonal_batch([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
-    d = DirichletData(np.arange(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        power_iteration_lambda_max(batch, d)
-
-
-def test_power_iteration_validation():
-    _, batch, d, _ = make_problem(1)
-    with pytest.raises(ValueError):
-        power_iteration_lambda_max(batch, d, iters=0)
-
-
 @pytest.mark.parametrize("level", [2, 3])
 def test_mass_gershgorin_encloses_spectrum(level):
     m, batch, d, _ = make_problem(level)
-    lo, hi = mass_gershgorin(batch, d)
+    lo, hi = mass_bounds(batch, d)
     assert 0.0 <= lo <= hi
     M = assemble_sparse(batch.M_e, batch.index.indt)
     eigs = dense_interior_eigenvalues(M, d)
     assert lo <= eigs[0] + 1e-15
     assert eigs[-1] <= hi + 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(level=st.sampled_from([2, 3]), amp=st.floats(0.0, 0.1),
+       seed=st.integers(0, 2**32 - 1))
+def test_mass_bounds_enclose_perturbed_mesh_spectrum(level, amp, seed):
+    # interior nodes moved by at most 0.1 h per coordinate keep every
+    # triangle counterclockwise, so element areas vary but stay positive
+    grid = build_unit_square_mesh(level)
+    h = 1.0 / 2**level
+    nodes = grid.nodes.copy()
+    interior = np.setdiff1d(np.arange(grid.n_nodes), grid.boundary_nodes)
+    shift = np.random.default_rng(seed).uniform(-1.0, 1.0, (interior.size, 2))
+    nodes[interior] += amp * h * shift
+    m = Mesh(nodes, grid.elements, grid.boundary_nodes)
+    batch = build_element_batch(m)
+    d = constant_dirichlet(m)
+    lo, hi = mass_bounds(batch, d)
+    M = assemble_sparse(batch.M_e, batch.index.indt)
+    eigs = dense_interior_eigenvalues(M, d)
+    assert 0.0 < lo <= eigs[0] * (1 + 1e-12)
+    assert eigs[-1] <= hi * (1 + 1e-12)
 
 
 def test_operator_bounds_pure_stiffness():
