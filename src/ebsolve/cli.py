@@ -40,7 +40,6 @@ class ExperimentConfig:
     cycle_n: int = 32
     tol: float | None = None
     threads: int = 1
-    deterministic: bool = True
     out_dir: str | None = None
     export_vtk: bool = False
     compare_direct: bool = False
@@ -144,7 +143,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         tol=cfg.tol,
         reference=reference if cfg.compare_direct else None,
         threads=cfg.threads,
-        deterministic=cfg.deterministic,
     )
     for name in solvers:
         if name == "richardson":
@@ -274,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional early stop at ||r^k|| <= tol*||r^0||")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for the residual kernel (default 1)")
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="bitwise thread-count-independent reductions (default on)")
     p.add_argument("--out-dir", default=None,
                    help="directory for history/solution exports")
     p.add_argument("--export-vtk", action="store_true",
@@ -296,7 +291,6 @@ def main(argv=None) -> int:
         cycle_n=args.cycle_n,
         tol=args.tol,
         threads=args.threads,
-        deterministic=args.deterministic,
         out_dir=args.out_dir,
         export_vtk=args.export_vtk,
         compare_direct=args.compare_direct,

@@ -2,9 +2,9 @@
 
 All local quantities are computed for every element at once and stored in
 3-index arrays of shape (n_b, n_b, n_e) with n_b = 3, the layout used by
-the element-by-element residual kernel.  Slices are kept contiguous per
-element (the arrays are transposes of C-ordered (n_e, 3, 3) blocks) so the
-kernel streams one element at a time.
+the element-by-element residual kernel.  The arrays are C-contiguous along
+the element axis: entry (i, j) of every element sits in one contiguous run
+of n_e values, so the kernel's local product streams nine unit-stride rows.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .mesh import IndexArrays, Mesh, build_index_arrays
+from .mesh import IndexArrays, Mesh, build_index_arrays, signed_areas
 
 EPS_AREA = 1e-14
 
@@ -26,71 +26,104 @@ _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 class ElementBatch:
     """Everything the matrix-free operator needs, batched over elements.
 
-    A_e = K_e + nu*M_e combines stiffness and mass; b_e holds the local
-    load vectors (one column per element) prior to assembly.
+    A_e = K_e + nu*M_e is the only resident element matrix; b_e holds the
+    local load vectors (one column per element) prior to assembly and
+    ``areas`` the element areas.  ``K_e`` and ``M_e`` are recomputed from
+    ``mesh`` on access, so a batch built without a mesh has neither.
     """
 
-    K_e: npt.NDArray[np.float64]
-    M_e: npt.NDArray[np.float64]
     A_e: npt.NDArray[np.float64]
     b_e: npt.NDArray[np.float64]
+    areas: npt.NDArray[np.float64]
     nu: float
     index: IndexArrays
+    mesh: Mesh | None = None
 
     def __post_init__(self):
         n_e = self.index.indt.shape[1]
-        for name in ("K_e", "M_e", "A_e"):
-            arr = getattr(self, name)
-            if arr.shape != (3, 3, n_e):
-                raise ValueError(f"{name} must have shape (3, 3, {n_e}), got {arr.shape}")
+        if self.A_e.shape != (3, 3, n_e):
+            raise ValueError(f"A_e must have shape (3, 3, {n_e}), got {self.A_e.shape}")
         if self.b_e.shape != (3, n_e):
             raise ValueError(f"b_e must have shape (3, {n_e}), got {self.b_e.shape}")
+        if self.areas.shape != (n_e,):
+            raise ValueError(f"areas must have shape ({n_e},), got {self.areas.shape}")
+        if self.mesh is not None and self.mesh.n_elements != n_e:
+            raise ValueError(f"mesh has {self.mesh.n_elements} elements, batch has {n_e}")
         if self.nu < 0:
             raise ValueError(f"nu must be nonnegative, got {self.nu}")
+        object.__setattr__(self, "A_e", np.ascontiguousarray(self.A_e, dtype=np.float64))
 
     @property
     def n_elements(self) -> int:
         return self.index.indt.shape[1]
 
+    @property
+    def K_e(self) -> npt.NDArray[np.float64]:
+        """Local stiffness matrices, recomputed from the mesh."""
+        return local_stiffness_batch(self._require_mesh())
+
+    @property
+    def M_e(self) -> npt.NDArray[np.float64]:
+        """Local mass matrices, recomputed from the mesh."""
+        return local_mass_batch(self._require_mesh())
+
+    def _require_mesh(self) -> Mesh:
+        if self.mesh is None:
+            raise ValueError("K_e and M_e need the mesh the batch was built from")
+        return self.mesh
+
 
 def _triangle_geometry(m: Mesh):
-    """Per-element corner coordinates, areas and basis gradients.
+    """Element areas and P1 basis gradients.
 
-    Returns (areas, grads) with grads of shape (n_e, 2, 3): column j is the
-    constant gradient of the P1 basis function attached to local node j.
+    Returns (areas, grads) with grads of shape (2, 3, n_e), C-contiguous:
+    grads[:, j, e] is the constant gradient of the basis function attached
+    to local node j of element e.
     """
-    p = m.nodes[m.elements]  # (n_e, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]  # = 2*area for ccw triangles
+    x, y = m.nodes.T[:, m.elements.T]  # each (3, n_e)
+    det = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])  # 2*area
     areas = 0.5 * det
     if np.any(areas <= EPS_AREA):
         worst = int(np.argmin(areas))
         raise ValueError(
             f"degenerate element {worst}: area {areas[worst]:.3e} <= {EPS_AREA}"
         )
-    x, y = p[..., 0], p[..., 1]
-    grads = np.empty((m.n_elements, 2, 3))
+    grads = np.empty((2, 3, m.n_elements))
     for j in range(3):
         jn, jp = (j + 1) % 3, (j + 2) % 3
-        grads[:, 0, j] = (y[:, jn] - y[:, jp]) / det
-        grads[:, 1, j] = (x[:, jp] - x[:, jn]) / det
+        np.divide(y[jn] - y[jp], det, out=grads[0, j])
+        np.divide(x[jp] - x[jn], det, out=grads[1, j])
     return areas, grads
+
+
+def _stiffness(areas, grads) -> npt.NDArray[np.float64]:
+    k = np.einsum("kie,kje->ije", grads, grads)
+    k *= areas
+    return k
+
+
+def _mass(areas) -> npt.NDArray[np.float64]:
+    return _MASS_PATTERN[:, :, None] * areas
 
 
 def local_stiffness_batch(m: Mesh) -> npt.NDArray[np.float64]:
     """K_e slices: area * G^T G with G the 2x3 gradient matrix (exact for P1)."""
-    areas, grads = _triangle_geometry(m)
-    k = np.einsum("eki,ekj->eij", grads, grads)
-    k *= areas[:, None, None]
-    return k.transpose(1, 2, 0)
+    return _stiffness(*_triangle_geometry(m))
 
 
 def local_mass_batch(m: Mesh) -> npt.NDArray[np.float64]:
     """M_e slices: area/12 * [[2,1,1],[1,2,1],[1,1,2]] (exact for P1)."""
     areas, _ = _triangle_geometry(m)
-    me = areas[:, None, None] * _MASS_PATTERN
-    return me.transpose(1, 2, 0)
+    return _mass(areas)
+
+
+def _load(m: Mesh, areas, f) -> npt.NDArray[np.float64]:
+    centroids = m.nodes[m.elements].mean(axis=1)
+    vals = np.asarray(f(centroids[:, 0], centroids[:, 1]), dtype=np.float64)
+    vals = np.broadcast_to(vals, (m.n_elements,))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("source function returned non-finite values")
+    return np.ascontiguousarray(np.broadcast_to(vals * areas / 3.0, (3, m.n_elements)))
 
 
 def local_load_batch(m: Mesh, f) -> npt.NDArray[np.float64]:
@@ -99,17 +132,7 @@ def local_load_batch(m: Mesh, f) -> npt.NDArray[np.float64]:
     ``f(x, y)`` is evaluated on coordinate arrays; a scalar return value is
     broadcast.  Exact whenever f is constant.
     """
-    p = m.nodes[m.elements]
-    areas = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-    )
-    centroids = p.mean(axis=1)
-    vals = np.asarray(f(centroids[:, 0], centroids[:, 1]), dtype=np.float64)
-    vals = np.broadcast_to(vals, (m.n_elements,))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("source function returned non-finite values")
-    return np.ascontiguousarray(np.broadcast_to(vals * areas / 3.0, (3, m.n_elements)))
+    return _load(m, signed_areas(m.nodes, m.elements), f)
 
 
 def combine_system(K_e: np.ndarray, M_e: np.ndarray, nu: float) -> npt.NDArray[np.float64]:
@@ -122,16 +145,26 @@ def combine_system(K_e: np.ndarray, M_e: np.ndarray, nu: float) -> npt.NDArray[n
 
 
 def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
-    """Assemble the full batch for a mesh (default source f = 1)."""
+    """Assemble the full batch for a mesh (default source f = 1).
+
+    The triangle geometry is computed once and A_e is written in place, with
+    the same arithmetic as
+    ``combine_system(local_stiffness_batch(m), local_mass_batch(m), nu)``.
+    """
+    if nu < 0:
+        raise ValueError(f"nu must be nonnegative, got {nu}")
     if f is None:
         f = lambda x, y: np.ones_like(x)
-    K_e = local_stiffness_batch(m)
-    M_e = local_mass_batch(m)
+    areas, grads = _triangle_geometry(m)
+    A_e = _stiffness(areas, grads)
+    del grads  # free before the mass and load temporaries are allocated
+    if nu > 0:
+        A_e += nu * _mass(areas)
     return ElementBatch(
-        K_e=K_e,
-        M_e=M_e,
-        A_e=combine_system(K_e, M_e, nu),
-        b_e=local_load_batch(m, f),
+        A_e=A_e,
+        b_e=_load(m, areas, f),
+        areas=areas,
         nu=float(nu),
         index=build_index_arrays(m),
+        mesh=m,
     )

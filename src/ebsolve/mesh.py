@@ -67,29 +67,20 @@ class Mesh:
 
 @dataclass(frozen=True)
 class IndexArrays:
-    """Gather/scatter index arrays replacing explicit connectivity matrices.
+    """Gather/scatter index array replacing explicit connectivity matrices.
 
-    ``ind_e`` has shape (3, 1, n_e) and gathers global nodal values into
-    element-local vectors; ``indt`` has shape (3, n_e) and scatters local
-    contributions back.  Per element both hold the same global indices,
-    shaped for their respective operations.
+    ``indt`` has shape (3, n_e); column e holds the global indices of
+    element e's nodes.  It gathers global nodal values into element-local
+    vectors (``x[indt]``) and scatters local contributions back.
     """
 
-    ind_e: npt.NDArray[np.int64]
     indt: npt.NDArray[np.int64]
 
     def __post_init__(self):
-        ind_e = np.asarray(self.ind_e, dtype=np.int64)
-        indt = np.asarray(self.indt, dtype=np.int64)
-        if ind_e.ndim != 3 or ind_e.shape[:2] != (3, 1):
-            raise ValueError(f"ind_e must have shape (3, 1, n_e), got {ind_e.shape}")
-        if indt.shape != (3, ind_e.shape[2]):
+        indt = np.ascontiguousarray(self.indt, dtype=np.int64)
+        if indt.ndim != 2 or indt.shape[0] != 3:
             raise ValueError(f"indt must have shape (3, n_e), got {indt.shape}")
-        if not np.array_equal(ind_e[:, 0, :], indt):
-            raise ValueError("ind_e and indt must index the same nodes per element")
-        ind_e.setflags(write=False)
         indt.setflags(write=False)
-        object.__setattr__(self, "ind_e", ind_e)
         object.__setattr__(self, "indt", indt)
 
 
@@ -149,9 +140,8 @@ def _detect_boundary(nodes: np.ndarray) -> npt.NDArray[np.int64]:
 
 
 def build_index_arrays(m: Mesh) -> IndexArrays:
-    """Gather/scatter index arrays for a mesh: column e holds element e's nodes."""
-    indt = np.ascontiguousarray(m.elements.T)
-    return IndexArrays(indt.reshape(3, 1, -1), indt)
+    """Gather/scatter index array for a mesh: column e holds element e's nodes."""
+    return IndexArrays(m.elements.T)
 
 
 def uniform_refine(m: Mesh) -> Mesh:

@@ -3,11 +3,13 @@
 The global system matrix is never formed here.  A residual is computed
 element by element,
 
-    r = sum_e scatter( b_e - A_e * x[ind_e] ),
+    r = sum_e scatter( b_e - A_e * x[indt] ),
 
-with the gather/scatter done through the mesh's index arrays; the scatter
-accumulation is a single ``np.bincount`` over all local contributions.
-Global vectors are plain 1-D float64 ndarrays of length n_n.
+on the element-contiguous ``A_e`` of the batch: one gather through the
+index array ``indt``, one local 3x3 product per element, and one
+``np.bincount`` that scatters all local contributions.  ``residual`` is the
+only implementation of this operator.  Global vectors are plain 1-D
+float64 ndarrays of length n_n.
 
 Dirichlet conditions are enforced by masking: residual entries at
 constrained nodes are zeroed every iteration, so a conforming iterate never
@@ -63,52 +65,38 @@ def assemble_rhs(b_e: np.ndarray, indt: np.ndarray) -> npt.NDArray[np.float64]:
     return np.bincount(indt.ravel(), weights=b_e.ravel(), minlength=n)
 
 
-def _local_residuals(batch: ElementBatch, x: np.ndarray, lo: int, hi: int):
-    """b_e - A_e x[ind_e] for the element slice [lo, hi)."""
-    gathered = x[batch.index.ind_e[:, 0, lo:hi]]
-    return batch.b_e[:, lo:hi] - np.einsum("ije,je->ie", batch.A_e[:, :, lo:hi], gathered)
-
-
-def residual(
-    batch: ElementBatch,
-    x: np.ndarray,
-    threads: int = 1,
-    deterministic: bool = True,
-) -> npt.NDArray[np.float64]:
+def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1) -> npt.NDArray[np.float64]:
     """r = b - A x without forming A.
 
-    With ``deterministic=True`` (the default) the result is bitwise
-    independent of ``threads``: per-element contributions are computed in
-    chunks (each element's arithmetic is self-contained) and accumulated by
-    one sequential bincount in fixed order.  The fast mode instead reduces
-    per-chunk partial sums, reproducible only up to floating-point
-    reassociation.
+    The element range is split into ``threads`` contiguous chunks; each
+    chunk writes b_e - A_e x[indt] for its own elements into a disjoint
+    slice of one (3, n_e) array, inline for one thread or on a thread pool
+    for more.  One ``np.bincount`` then scatters the whole array in fixed
+    order.  Every element's arithmetic is self-contained and the scatter
+    never sees the chunking, so the result is bitwise independent of
+    ``threads``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"x must be a flat global vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x contains non-finite entries")
-    n_n = x.shape[0]
     n_e = batch.n_elements
     indt = batch.index.indt
+    local = np.empty((3, n_e))
+
+    def local_residuals(lo, hi):
+        out = local[:, lo:hi]
+        np.einsum("ije,je->ie", batch.A_e[:, :, lo:hi], x[indt[:, lo:hi]], out=out)
+        np.subtract(batch.b_e[:, lo:hi], out, out=out)
 
     if threads <= 1 or n_e < 2 * threads:
-        rt = _local_residuals(batch, x, 0, n_e)
-        return np.bincount(indt.ravel(), weights=rt.ravel(), minlength=n_n)
-
-    bounds = np.linspace(0, n_e, threads + 1, dtype=int)
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda s: _local_residuals(batch, x, *s), spans))
-
-    if deterministic:
-        rt = np.concatenate(parts, axis=1)
-        return np.bincount(indt.ravel(), weights=rt.ravel(), minlength=n_n)
-    out = np.zeros(n_n)
-    for (lo, hi), part in zip(spans, parts):
-        out += np.bincount(indt[:, lo:hi].ravel(), weights=part.ravel(), minlength=n_n)
-    return out
+        local_residuals(0, n_e)
+    else:
+        bounds = np.linspace(0, n_e, threads + 1, dtype=int)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(local_residuals, bounds[:-1], bounds[1:]))
+    return np.bincount(indt.ravel(), weights=local.ravel(), minlength=x.shape[0])
 
 
 def mask_dirichlet(r: np.ndarray, d: DirichletData) -> npt.NDArray[np.float64]:

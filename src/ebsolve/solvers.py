@@ -115,7 +115,7 @@ def chebyshev_scaling_factor(bounds: SpectralBounds, k: int) -> float:
 
 
 def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
-             threads, deterministic):
+             threads):
     """Shared solver loop; ``advance(k, x, r) -> new x`` defines the method."""
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
@@ -124,7 +124,7 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
     diverged = False
     t0 = time.perf_counter()
 
-    r = mask_dirichlet(residual(batch, x, threads, deterministic), dirichlet)
+    r = mask_dirichlet(residual(batch, x, threads), dirichlet)
     norms = [float(np.linalg.norm(r))]
     if errors is not None:
         errors.append(float(np.linalg.norm(x - reference)))
@@ -144,7 +144,7 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
                     errors.append(float("inf"))
                 diverged = True
                 break
-            r = mask_dirichlet(residual(batch, x, threads, deterministic), dirichlet)
+            r = mask_dirichlet(residual(batch, x, threads), dirichlet)
             norms.append(float(np.linalg.norm(r)))
             if errors is not None:
                 errors.append(float(np.linalg.norm(x - reference)))
@@ -174,7 +174,6 @@ def richardson(
     reference: np.ndarray | None = None,
     callback=None,
     threads: int = 1,
-    deterministic: bool = True,
 ):
     """Damped Richardson iteration with the optimal fixed step 2/(lam1+lam2)."""
     omega = 2.0 / (bounds.lambda1 + bounds.lambda2)
@@ -183,7 +182,7 @@ def richardson(
         return x + omega * r
 
     return _iterate(batch, d, x0, iters, advance, tol=tol, reference=reference,
-                    callback=callback, threads=threads, deterministic=deterministic)
+                    callback=callback, threads=threads)
 
 
 def chebyshev2(
@@ -198,7 +197,6 @@ def chebyshev2(
     reference: np.ndarray | None = None,
     callback=None,
     threads: int = 1,
-    deterministic: bool = True,
 ):
     """Cyclic two-level Chebyshev iteration (roots in natural order).
 
@@ -213,7 +211,7 @@ def chebyshev2(
         return x + (1.0 / cycle.alphas[k % cycle.N]) * r
 
     return _iterate(batch, d, x0, iters, advance, tol=tol, reference=reference,
-                    callback=callback, threads=threads, deterministic=deterministic)
+                    callback=callback, threads=threads)
 
 
 def chebyshev3(
@@ -227,7 +225,6 @@ def chebyshev3(
     reference: np.ndarray | None = None,
     callback=None,
     threads: int = 1,
-    deterministic: bool = True,
 ):
     """Three-level Chebyshev iteration via the stable two-term recurrence.
 
@@ -261,4 +258,4 @@ def chebyshev3(
         return x + state["alpha"] * state["p"]
 
     return _iterate(batch, d, x0, iters, advance, tol=tol, reference=reference,
-                    callback=callback, threads=threads, deterministic=deterministic)
+                    callback=callback, threads=threads)

@@ -61,14 +61,12 @@ def mass_bounds(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
 
     in the Loewner order, and every principal submatrix keeps both
     inequalities.  The free-node spectrum therefore lies in
-    [min s_i / 12, max s_i / 3] over free nodes i (Wathen 1987).  Areas are
-    read back from the batch as 2*trace(M_e), so M_e must follow the P1
-    pattern.
+    [min s_i / 12, max s_i / 3] over free nodes i (Wathen 1987).  The sums
+    s_i are taken from ``batch.areas``, the areas M_e is built from.
     """
     indt = batch.index.indt
     n_n = int(indt.max()) + 1
-    area = 2.0 * np.einsum("iie->e", batch.M_e)
-    node_area = np.bincount(indt.ravel(), weights=np.tile(area, 3), minlength=n_n)
+    node_area = np.bincount(indt.ravel(), weights=np.tile(batch.areas, 3), minlength=n_n)
     is_free = np.ones(n_n, dtype=bool)
     is_free[d.nd] = False
     s = node_area[is_free]

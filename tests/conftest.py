@@ -5,6 +5,7 @@ import numpy as np
 from ebsolve import (
     ElementBatch,
     IndexArrays,
+    Mesh,
     assemble_rhs,
     build_element_batch,
     build_unit_square_mesh,
@@ -30,10 +31,25 @@ def diagonal_batch(diag, load):
     A = np.diag(np.asarray(diag, dtype=np.float64)).reshape(3, 3, 1)
     indt = np.array([[0], [1], [2]], dtype=np.int64)
     return ElementBatch(
-        K_e=A,
-        M_e=np.zeros_like(A),
         A_e=A,
         b_e=np.asarray(load, dtype=np.float64).reshape(3, 1),
+        areas=np.array([0.5]),
         nu=0.0,
-        index=IndexArrays(indt.reshape(3, 1, 1), indt),
+        index=IndexArrays(indt),
     )
+
+
+def perturbed_mesh(level, amp, seed):
+    """Level-``level`` grid with every interior node moved by <= amp*h per axis.
+
+    For amp <= 0.1 every triangle stays counterclockwise, so element areas
+    and shapes vary but stay positive: a mesh the structured generator never
+    produces, with the grid's connectivity and boundary.
+    """
+    grid = build_unit_square_mesh(level)
+    h = 1.0 / 2**level
+    nodes = grid.nodes.copy()
+    interior = np.setdiff1d(np.arange(grid.n_nodes), grid.boundary_nodes)
+    shift = np.random.default_rng(seed).uniform(-1.0, 1.0, (interior.size, 2))
+    nodes[interior] += amp * h * shift
+    return Mesh(nodes, grid.elements, grid.boundary_nodes)

@@ -29,7 +29,6 @@ def test_parser_defaults():
     assert args.cycle_n == 32
     assert args.tol is None
     assert args.threads == 1
-    assert args.deterministic is True
     assert args.out_dir is None
     assert args.export_vtk is False
     assert args.compare_direct is False

@@ -13,6 +13,7 @@ from ebsolve import (
     local_mass_batch,
     local_stiffness_batch,
 )
+from ebsolve.mesh import signed_areas
 
 # closed-form local stiffness of the right triangle with legs along the axes;
 # it does not depend on the leg length
@@ -136,13 +137,40 @@ def test_degenerate_triangle_rejected():
 def test_batch_validation():
     m = build_unit_square_mesh(1)
     K = local_stiffness_batch(m)
-    M = local_mass_batch(m)
+    areas = signed_areas(m.nodes, m.elements)
     idx = build_index_arrays(m)
     b = local_load_batch(m, lambda x, y: np.ones_like(x))
     with pytest.raises(ValueError):
-        ElementBatch(K_e=K, M_e=M, A_e=K, b_e=b[:, :3], nu=0.0, index=idx)
+        ElementBatch(A_e=K, b_e=b[:, :3], areas=areas, nu=0.0, index=idx)
     with pytest.raises(ValueError):
-        ElementBatch(K_e=K, M_e=M, A_e=K, b_e=b, nu=-1.0, index=idx)
+        ElementBatch(A_e=K, b_e=b, areas=areas, nu=-1.0, index=idx)
+    with pytest.raises(ValueError):
+        ElementBatch(A_e=K[:, :, :3], b_e=b, areas=areas, nu=0.0, index=idx)
+    with pytest.raises(ValueError):
+        ElementBatch(A_e=K, b_e=b, areas=areas[:3], nu=0.0, index=idx)
+    with pytest.raises(ValueError):
+        ElementBatch(A_e=K, b_e=b, areas=areas, nu=0.0, index=idx,
+                     mesh=build_unit_square_mesh(2))
+    # a batch without a mesh has A_e but cannot recompute K_e or M_e
+    with pytest.raises(ValueError, match="mesh"):
+        ElementBatch(A_e=K, b_e=b, areas=areas, nu=0.0, index=idx).K_e
+
+
+@pytest.mark.parametrize("nu", [0.0, 2.5])
+def test_batch_layout_keeps_only_A_e(nu):
+    m = build_unit_square_mesh(3)
+    batch = build_element_batch(m, nu=nu)
+    K, M = local_stiffness_batch(m), local_mass_batch(m)
+    assert batch.A_e.shape == (3, 3, m.n_elements)
+    assert batch.A_e.flags.c_contiguous
+    # bitwise, down to the sign of zero
+    assert batch.A_e.tobytes() == combine_system(K, M, nu).tobytes()
+    assert batch.K_e.tobytes() == K.tobytes()
+    assert batch.M_e.tobytes() == M.tobytes()
+    # K_e and M_e are computed on access, not held beside A_e
+    stored = [name for name, value in vars(batch).items()
+              if isinstance(value, np.ndarray) and value.shape == (3, 3, m.n_elements)]
+    assert stored == ["A_e"]
 
 
 def test_build_element_batch_defaults():

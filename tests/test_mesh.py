@@ -135,9 +135,7 @@ def test_mesh_arrays_read_only():
 def test_index_arrays():
     m = build_unit_square_mesh(2)
     idx = build_index_arrays(m)
-    assert idx.ind_e.shape == (3, 1, m.n_elements)
     assert idx.indt.shape == (3, m.n_elements)
-    npt.assert_array_equal(idx.ind_e[:, 0, :], idx.indt)
     npt.assert_array_equal(idx.indt, m.elements.T)
     # every node appears in at least one element
     npt.assert_array_equal(np.unique(idx.indt), np.arange(m.n_nodes))
@@ -146,9 +144,9 @@ def test_index_arrays():
 def test_index_arrays_validation():
     indt = np.array([[0], [1], [2]])
     with pytest.raises(ValueError):
-        IndexArrays(indt.reshape(3, 1, 1), np.array([[0], [1], [3]]))
+        IndexArrays(indt.reshape(1, 3))
     with pytest.raises(ValueError):
-        IndexArrays(indt.reshape(1, 3, 1), indt)
+        IndexArrays(indt.reshape(3, 1, 1))
 
 
 def test_export_mesh_roundtrip(tmp_path):

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem
+from conftest import make_problem, perturbed_mesh
 
 from ebsolve import (
-    Mesh,
     assemble_sparse,
     build_element_batch,
     build_grid_mesh,
-    build_unit_square_mesh,
     constant_dirichlet,
     dense_interior_eigenvalues,
     mass_bounds,
@@ -89,15 +87,7 @@ def test_mass_gershgorin_encloses_spectrum(level):
 @given(level=st.sampled_from([2, 3]), amp=st.floats(0.0, 0.1),
        seed=st.integers(0, 2**32 - 1))
 def test_mass_bounds_enclose_perturbed_mesh_spectrum(level, amp, seed):
-    # interior nodes moved by at most 0.1 h per coordinate keep every
-    # triangle counterclockwise, so element areas vary but stay positive
-    grid = build_unit_square_mesh(level)
-    h = 1.0 / 2**level
-    nodes = grid.nodes.copy()
-    interior = np.setdiff1d(np.arange(grid.n_nodes), grid.boundary_nodes)
-    shift = np.random.default_rng(seed).uniform(-1.0, 1.0, (interior.size, 2))
-    nodes[interior] += amp * h * shift
-    m = Mesh(nodes, grid.elements, grid.boundary_nodes)
+    m = perturbed_mesh(level, amp, seed)
     batch = build_element_batch(m)
     d = constant_dirichlet(m)
     lo, hi = mass_bounds(batch, d)
