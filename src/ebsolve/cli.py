@@ -206,29 +206,22 @@ def export_solution(mesh: Mesh, x: np.ndarray, path) -> None:
     if path.suffix == ".vtk":
         _write_vtk(mesh, x, path)
         return
-    lines = ["x,y,u"]
-    for (px, py), val in zip(mesh.nodes, x):
-        lines.append(f"{px:.17g},{py:.17g},{val:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = np.column_stack([mesh.nodes, x]).ravel().tolist()
+    path.write_text("x,y,u\n" + "%.17g,%.17g,%.17g\n" * mesh.n_nodes % tuple(rows))
 
 
 def _write_vtk(mesh: Mesh, x: np.ndarray, path: Path) -> None:
     n_n, n_e = mesh.n_nodes, mesh.n_elements
-    parts = [
-        "# vtk DataFile Version 3.0",
-        "ebsolve solution",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n_n} double",
-    ]
-    parts += [f"{px:.17g} {py:.17g} 0" for px, py in mesh.nodes]
-    parts.append(f"CELLS {n_e} {4 * n_e}")
-    parts += [f"3 {a} {b} {c}" for a, b, c in mesh.elements]
-    parts.append(f"CELL_TYPES {n_e}")
-    parts += ["5"] * n_e
-    parts += [f"POINT_DATA {n_n}", "SCALARS u double 1", "LOOKUP_TABLE default"]
-    parts += [f"{val:.17g}" for val in x]
-    path.write_text("\n".join(parts) + "\n")
+    path.write_text(
+        "# vtk DataFile Version 3.0\nebsolve solution\nASCII\n"
+        f"DATASET UNSTRUCTURED_GRID\nPOINTS {n_n} double\n"
+        + "%.17g %.17g 0\n" * n_n % tuple(mesh.nodes.ravel().tolist())
+        + f"CELLS {n_e} {4 * n_e}\n"
+        + "3 %d %d %d\n" * n_e % tuple(mesh.elements.ravel().tolist())
+        + f"CELL_TYPES {n_e}\n" + "5\n" * n_e
+        + f"POINT_DATA {n_n}\nSCALARS u double 1\nLOOKUP_TABLE default\n"
+        + "%.17g\n" * n_n % tuple(np.asarray(x).tolist())
+    )
 
 
 def _print_report(report: ExperimentReport) -> None:

@@ -10,10 +10,11 @@ midpoint refinement bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.typing as npt
+import scipy.sparse as sp
 
 # Levels above this exhaust address space long before they are useful
 # (level 12 already means ~33.5M triangles).
@@ -72,9 +73,16 @@ class IndexArrays:
     ``indt`` has shape (3, n_e); column e holds the global indices of
     element e's nodes.  It gathers global nodal values into element-local
     vectors (``x[indt]``) and scatters local contributions back.
+
+    ``scatter_matrix`` is the scatter precomputed from ``indt`` alone, the
+    counterpart of MATLAB's ``accumarray``: a 0/1 CSR matrix of shape
+    (indt.max()+1, 3*n_e) whose row n lists, in ascending order, the
+    positions of node n in ``indt.ravel()``.  It holds connectivity only,
+    no element values.
     """
 
     indt: npt.NDArray[np.int64]
+    scatter_matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indt = np.ascontiguousarray(self.indt, dtype=np.int64)
@@ -82,6 +90,30 @@ class IndexArrays:
             raise ValueError(f"indt must have shape (3, n_e), got {indt.shape}")
         indt.setflags(write=False)
         object.__setattr__(self, "indt", indt)
+        flat = indt.ravel()
+        n_rows = int(flat.max()) + 1 if flat.size else 0
+        # COO -> CSR is a counting sort, so each row keeps its positions in
+        # ascending order; int32 positions spare scipy an int64 -> int32 copy
+        positions = np.arange(flat.size, dtype=np.int32)
+        S = sp.csr_matrix((np.ones(flat.size), (flat, positions)),
+                          shape=(n_rows, flat.size))
+        object.__setattr__(self, "scatter_matrix", S)
+
+    def scatter(self, local: np.ndarray, n: int) -> npt.NDArray[np.float64]:
+        """Sum the (3, n_e) local contributions into a global vector of length n.
+
+        Row n of the scatter matrix adds node n's contributions in the order
+        they appear in ``indt.ravel()``, the order ``np.bincount`` uses, so the
+        result is bitwise equal to ``np.bincount(indt.ravel(), local.ravel(), n)``.
+        Nodes that no element references get 0.
+        """
+        S = self.scatter_matrix
+        if local.shape != self.indt.shape:
+            raise ValueError(f"shape mismatch: local {local.shape} vs indt {self.indt.shape}")
+        out = S @ np.ravel(local)
+        if n > S.shape[0]:
+            out = np.concatenate([out, np.zeros(n - S.shape[0])])
+        return out
 
 
 def signed_areas(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:

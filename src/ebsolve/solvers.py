@@ -243,19 +243,20 @@ def chebyshev3(
         raise ValueError("chebyshev3 needs lambda1 < lambda2")
     dd = bounds.center
     cc = bounds.half_width
-    state = {"alpha": 0.0, "p": None}
+    alpha, p = 0.0, None
 
     def advance(k, x, r):
+        nonlocal alpha, p
         if k == 0:
-            state["alpha"] = 1.0 / dd
-            state["p"] = r.copy()
+            alpha = 1.0 / dd
+            p = r.copy()
         else:
-            beta = 0.5 * (cc * state["alpha"]) ** 2
+            beta = 0.5 * (cc * alpha) ** 2
             if k > 1:
                 beta *= 0.5
-            state["alpha"] = 1.0 / (dd - beta / state["alpha"])
-            state["p"] = r + beta * state["p"]
-        return x + state["alpha"] * state["p"]
+            alpha = 1.0 / (dd - beta / alpha)
+            p = r + beta * p
+        return x + alpha * p
 
     return _iterate(batch, d, x0, iters, advance, tol=tol, reference=reference,
                     callback=callback, threads=threads)

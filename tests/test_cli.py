@@ -222,3 +222,15 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "history_richardson.csv").exists()
+
+
+def test_package_entry_point_without_warnings():
+    # `python -m ebsolve.cli` makes runpy warn that the package imported
+    # ebsolve.cli first; `python -m ebsolve` runs the same main() cleanly
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ebsolve",
+         "--level", "2", "--solver", "cheb3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cheb3" in proc.stdout

@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import perturbed_mesh
+
 from ebsolve import (
     ElementBatch,
     Mesh,
@@ -97,6 +99,18 @@ def test_load_centroid_rule():
     npt.assert_allclose(b[:, 0], centroid_val * 0.125 / 3.0, rtol=1e-15)
 
 
+def test_load_matches_mean_centroid_reference():
+    # centroids are summed corner by corner; the reference is the
+    # nodes[elements].mean(axis=1) form, bit for bit on an irregular mesh
+    m = perturbed_mesh(4, 0.1, 11)
+    f = lambda x, y: np.sin(7.0 * x) * np.exp(y)
+    centroids = m.nodes[m.elements].mean(axis=1)
+    ref = f(centroids[:, 0], centroids[:, 1]) * signed_areas(m.nodes, m.elements) / 3.0
+    b = local_load_batch(m, f)
+    for j in range(3):
+        assert b[j].tobytes() == ref.tobytes()
+
+
 def test_load_scalar_broadcast():
     m = build_unit_square_mesh(1)
     b = local_load_batch(m, lambda x, y: 2.0)
@@ -171,6 +185,18 @@ def test_batch_layout_keeps_only_A_e(nu):
     stored = [name for name, value in vars(batch).items()
               if isinstance(value, np.ndarray) and value.shape == (3, 3, m.n_elements)]
     assert stored == ["A_e"]
+
+
+def test_batch_load_is_one_read_only_vector():
+    m = build_unit_square_mesh(3)
+    batch = build_element_batch(m, f=lambda x, y: x + 2.0 * y)
+    assert batch.b_e.shape == (3, m.n_elements)
+    assert not batch.b_e.flags.writeable
+    owner = batch.b_e
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    assert owner.nbytes == m.n_elements * owner.itemsize
+    assert owner.dtype == np.float64
 
 
 def test_build_element_batch_defaults():

@@ -139,6 +139,15 @@ def test_index_arrays():
     npt.assert_array_equal(idx.indt, m.elements.T)
     # every node appears in at least one element
     npt.assert_array_equal(np.unique(idx.indt), np.arange(m.n_nodes))
+    # the scatter matrix: row n holds the positions of node n in indt.ravel()
+    S = idx.scatter_matrix
+    flat = idx.indt.ravel()
+    assert S.shape == (m.n_nodes, flat.size)
+    assert S.indices.dtype == np.int32
+    assert np.all(S.data == 1.0)
+    for n in range(m.n_nodes):
+        npt.assert_array_equal(S.indices[S.indptr[n]:S.indptr[n + 1]],
+                               np.flatnonzero(flat == n))
 
 
 def test_index_arrays_validation():
@@ -147,6 +156,10 @@ def test_index_arrays_validation():
         IndexArrays(indt.reshape(1, 3))
     with pytest.raises(ValueError):
         IndexArrays(indt.reshape(3, 1, 1))
+    with pytest.raises(ValueError):
+        IndexArrays(-indt)
+    with pytest.raises(ValueError):
+        IndexArrays(indt).scatter(np.ones((3, 2)), 3)
 
 
 def test_export_mesh_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,13 +10,16 @@ from conftest import make_problem, perturbed_mesh
 
 from ebsolve import (
     DirichletData,
+    Mesh,
     apply_initial_guess,
     assemble_rhs,
     assemble_sparse,
     build_element_batch,
+    build_grid_mesh,
     build_unit_square_mesh,
     constant_dirichlet,
     mask_dirichlet,
+    operators,
     residual,
 )
 
@@ -31,6 +36,17 @@ def test_assemble_rhs_shape_guard():
     _, batch, _, _ = make_problem(1)
     with pytest.raises(ValueError):
         assemble_rhs(batch.b_e[:, :3], batch.index.indt)
+
+
+def test_scatter_reproduces_assemble_rhs():
+    m = perturbed_mesh(3, 0.1, 5)
+    batch = build_element_batch(m, nu=1.5, f=lambda x, y: np.cos(3.0 * x) - y)
+    idx = batch.index
+    b = assemble_rhs(batch.b_e, idx.indt)
+    assert idx.scatter(batch.b_e, m.n_nodes).tobytes() == b.tobytes()
+    local = np.random.default_rng(2).standard_normal(idx.indt.shape)
+    ref = np.bincount(idx.indt.ravel(), weights=local.ravel(), minlength=m.n_nodes + 3)
+    assert idx.scatter(local, m.n_nodes + 3).tobytes() == ref.tobytes()
 
 
 def test_residual_at_zero_is_rhs():
@@ -83,6 +99,47 @@ def test_residual_matches_oracle_on_perturbed_mesh(level, amp, nu, seed):
     assert np.linalg.norm(r - r_ref) <= 1e-12 * np.linalg.norm(r_ref)
     for threads in (2, 3):
         assert residual(batch, x, threads=threads).tobytes() == r.tobytes()
+
+
+def bincount_residual(batch, x):
+    """Reference residual: one full-width local product, one np.bincount."""
+    indt = batch.index.indt
+    local = batch.b_e - np.einsum("ije,je->ie", batch.A_e, x[indt])
+    return np.bincount(indt.ravel(), weights=local.ravel(), minlength=x.shape[0])
+
+
+def with_unreferenced_node(m, first):
+    """``m`` plus one node that no element references, numbered first or last."""
+    extra = np.array([[0.5, 0.5 + 0.25 / 2**m.level]])
+    if not first:
+        return Mesh(np.vstack([m.nodes, extra]), m.elements, m.boundary_nodes)
+    return Mesh(np.vstack([extra, m.nodes]), m.elements + 1, m.boundary_nodes + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["perturbed", "grid100", "unreferenced-first",
+                             "unreferenced-last"]),
+       level=st.integers(2, 4), nu=st.floats(0.0, 100.0),
+       block=st.sampled_from([1, 7, 64, operators.BLOCK]),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, block, seed):
+    if kind == "perturbed":
+        m = perturbed_mesh(level, 0.1, seed)
+    elif kind == "grid100":
+        m = build_grid_mesh(100)  # 19602 elements, not a multiple of BLOCK
+    else:
+        m = with_unreferenced_node(build_unit_square_mesh(level),
+                                   first=kind == "unreferenced-first")
+    batch = build_element_batch(
+        m, nu=nu, f=lambda x, y: np.sin(7.0 * x) + y * y)
+    x = np.random.default_rng(seed).standard_normal(m.n_nodes)
+    ref = bincount_residual(batch, x)
+    with mock.patch.object(operators, "BLOCK", block):
+        for threads in (1, 2, 3):
+            assert residual(batch, x, threads=threads).tobytes() == ref.tobytes()
+    if kind.startswith("unreferenced"):
+        lone = 0 if kind == "unreferenced-first" else m.n_nodes - 1
+        assert ref[lone] == 0.0
 
 
 def test_residual_input_validation():
