@@ -119,7 +119,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     bounds = None
     if solvers:
-        bounds = operator_bounds(batch, dirichlet, 2**cfg.level + 1, cfg.nu)
+        bounds = operator_bounds(batch, dirichlet, 2**cfg.level + 1)
 
     need_reference = cfg.compare_direct or cfg.solver in ("direct", "all")
     reference = None
@@ -251,43 +251,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matrix-free P1 benchmark: -Laplace(u) + nu*u = 1 on the "
                     "unit square, u = 1 on the boundary.",
     )
-    p.add_argument("--level", type=int, default=5,
-                   help="refinement level L, (2^L+1)^2 nodes (default 5)")
-    p.add_argument("--nu", type=float, default=0.0,
-                   help="reaction coefficient nu >= 0 (default 0)")
-    p.add_argument("--iters", type=int, default=124,
-                   help="iteration budget (default 124)")
-    p.add_argument("--solver", choices=SOLVER_CHOICES, default="all",
-                   help="which solver(s) to run (default all)")
-    p.add_argument("--cycle-n", type=int, default=32,
-                   help="two-level Chebyshev cycle length N (default 32)")
-    p.add_argument("--tol", type=float, default=None,
+    defaults = ExperimentConfig()
+    p.add_argument("--level", type=int, default=defaults.level,
+                   help="refinement level L, (2^L+1)^2 nodes (default %(default)s)")
+    p.add_argument("--nu", type=float, default=defaults.nu,
+                   help="reaction coefficient nu >= 0 (default %(default)s)")
+    p.add_argument("--iters", type=int, default=defaults.iters,
+                   help="iteration budget (default %(default)s)")
+    p.add_argument("--solver", choices=SOLVER_CHOICES, default=defaults.solver,
+                   help="which solver(s) to run (default %(default)s)")
+    p.add_argument("--cycle-n", type=int, default=defaults.cycle_n,
+                   help="two-level Chebyshev cycle length N (default %(default)s)")
+    p.add_argument("--tol", type=float, default=defaults.tol,
                    help="optional early stop at ||r^k|| <= tol*||r^0||")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the residual kernel (default 1)")
-    p.add_argument("--out-dir", default=None,
+    p.add_argument("--threads", type=int, default=defaults.threads,
+                   help="worker threads for the residual kernel (default %(default)s)")
+    p.add_argument("--out-dir", default=defaults.out_dir,
                    help="directory for history/solution exports")
-    p.add_argument("--export-vtk", action="store_true",
+    p.add_argument("--export-vtk", action="store_true", default=defaults.export_vtk,
                    help="write solutions as legacy VTK instead of CSV")
     p.add_argument("--compare-direct", action="store_true",
+                   default=defaults.compare_direct,
                    help="also solve via assembled matrix and record error norms")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = ExperimentConfig(
-        level=args.level,
-        nu=args.nu,
-        iters=args.iters,
-        solver=args.solver,
-        cycle_n=args.cycle_n,
-        tol=args.tol,
-        threads=args.threads,
-        out_dir=args.out_dir,
-        export_vtk=args.export_vtk,
-        compare_direct=args.compare_direct,
-    )
+    cfg = ExperimentConfig(**vars(args))
     try:
         report = run_experiment(cfg)
     except ValueError as exc:

@@ -29,9 +29,10 @@ class ElementBatch:
     A_e = K_e + nu*M_e is the only resident element matrix; b_e holds the
     local load vectors (one column per element) prior to assembly and
     ``areas`` the element areas.  In a batch from ``build_element_batch``,
-    b_e is a read-only broadcast view of one per-element load vector.
-    ``K_e`` and ``M_e`` are recomputed from ``mesh`` on access, so a batch
-    built without a mesh has neither.
+    b_e is a read-only broadcast view of one per-element load vector and
+    ``index.indt`` a view of the mesh's connectivity.  The batch keeps no
+    mesh: ``local_stiffness_batch(m)`` and ``local_mass_batch(m)`` give
+    K_e and M_e for the mesh it was built from.
     """
 
     A_e: npt.NDArray[np.float64]
@@ -39,7 +40,6 @@ class ElementBatch:
     areas: npt.NDArray[np.float64]
     nu: float
     index: IndexArrays
-    mesh: Mesh | None = None
 
     def __post_init__(self):
         n_e = self.index.indt.shape[1]
@@ -49,8 +49,6 @@ class ElementBatch:
             raise ValueError(f"b_e must have shape (3, {n_e}), got {self.b_e.shape}")
         if self.areas.shape != (n_e,):
             raise ValueError(f"areas must have shape ({n_e},), got {self.areas.shape}")
-        if self.mesh is not None and self.mesh.n_elements != n_e:
-            raise ValueError(f"mesh has {self.mesh.n_elements} elements, batch has {n_e}")
         if self.nu < 0:
             raise ValueError(f"nu must be nonnegative, got {self.nu}")
         object.__setattr__(self, "A_e", np.ascontiguousarray(self.A_e, dtype=np.float64))
@@ -58,21 +56,6 @@ class ElementBatch:
     @property
     def n_elements(self) -> int:
         return self.index.indt.shape[1]
-
-    @property
-    def K_e(self) -> npt.NDArray[np.float64]:
-        """Local stiffness matrices, recomputed from the mesh."""
-        return local_stiffness_batch(self._require_mesh())
-
-    @property
-    def M_e(self) -> npt.NDArray[np.float64]:
-        """Local mass matrices, recomputed from the mesh."""
-        return local_mass_batch(self._require_mesh())
-
-    def _require_mesh(self) -> Mesh:
-        if self.mesh is None:
-            raise ValueError("K_e and M_e need the mesh the batch was built from")
-        return self.mesh
 
 
 def _triangle_geometry(m: Mesh):
@@ -180,5 +163,4 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
         areas=areas,
         nu=float(nu),
         index=build_index_arrays(m),
-        mesh=m,
     )

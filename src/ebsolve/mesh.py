@@ -27,7 +27,10 @@ _BOUNDARY_TOL = 1e-12
 class Mesh:
     """A triangulation: node coordinates, connectivity and boundary set.
 
-    ``elements`` holds one counterclockwise node-index triple per row.
+    ``elements`` holds one counterclockwise node-index triple per row,
+    stored element-contiguous (Fortran order): ``elements.T`` is the
+    C-contiguous (3, n_e) index array the element kernels gather through,
+    and ``build_index_arrays`` shares it rather than copying it.
     ``level`` is set by the structured generators and ``None`` for meshes
     assembled by hand (test fixtures, imported geometries).
     """
@@ -39,7 +42,7 @@ class Mesh:
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.float64))
-        elements = np.ascontiguousarray(np.asarray(self.elements, dtype=np.int64))
+        elements = np.asfortranarray(np.asarray(self.elements, dtype=np.int64))
         boundary = np.asarray(self.boundary_nodes, dtype=np.int64)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError(f"nodes must have shape (n_n, 2), got {nodes.shape}")
@@ -138,11 +141,10 @@ def build_grid_mesh(n: int) -> Mesh:
 
     ix, iy = np.meshgrid(np.arange(n - 1), np.arange(n - 1))
     ll = (iy * n + ix).ravel()
-    lower = np.column_stack([ll, ll + 1, ll + n + 1])
-    upper = np.column_stack([ll, ll + n + 1, ll + n])
-    elements = np.empty((2 * len(ll), 3), dtype=np.int64)
-    elements[0::2] = lower
-    elements[1::2] = upper
+    # written straight into the element-contiguous layout Mesh stores
+    elements = np.empty((3, 2 * len(ll)), dtype=np.int64).T
+    elements[0::2] = np.column_stack([ll, ll + 1, ll + n + 1])
+    elements[1::2] = np.column_stack([ll, ll + n + 1, ll + n])
 
     level = None
     n_cells = n - 1
@@ -172,7 +174,10 @@ def _detect_boundary(nodes: np.ndarray) -> npt.NDArray[np.int64]:
 
 
 def build_index_arrays(m: Mesh) -> IndexArrays:
-    """Gather/scatter index array for a mesh: column e holds element e's nodes."""
+    """Gather/scatter index array for a mesh: column e holds element e's nodes.
+
+    ``indt`` is a view of ``m.elements``, not a copy.
+    """
     return IndexArrays(m.elements.T)
 
 

@@ -62,11 +62,12 @@ def mass_bounds(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
     in the Loewner order, and every principal submatrix keeps both
     inequalities.  The free-node spectrum therefore lies in
     [min s_i / 12, max s_i / 3] over free nodes i (Wathen 1987).  The sums
-    s_i are taken from ``batch.areas``, the areas M_e is built from.
+    s_i add up ``batch.areas``, the areas M_e is built from, with the
+    batch's precomputed scatter.
     """
     indt = batch.index.indt
     n_n = int(indt.max()) + 1
-    node_area = np.bincount(indt.ravel(), weights=np.tile(batch.areas, 3), minlength=n_n)
+    node_area = batch.index.scatter(np.broadcast_to(batch.areas, indt.shape), n_n)
     is_free = np.ones(n_n, dtype=bool)
     is_free[d.nd] = False
     s = node_area[is_free]
@@ -75,13 +76,8 @@ def mass_bounds(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
     return float(s.min()) / 12.0, float(s.max()) / 3.0
 
 
-def operator_bounds(
-    batch: ElementBatch,
-    d: DirichletData,
-    n: int,
-    nu: float,
-) -> SpectralBounds:
-    """Spectral bounds for the experiment operator A = K + nu*M.
+def operator_bounds(batch: ElementBatch, d: DirichletData, n: int) -> SpectralBounds:
+    """Spectral bounds for the experiment operator A = K + nu*M, nu = ``batch.nu``.
 
     nu = 0 uses the closed-form model interval [lambda1_K, 8 - lambda1_K].
     Otherwise Weyl's inequality adds the element-wise mass bounds
@@ -92,6 +88,7 @@ def operator_bounds(
     which encloses the free-node spectrum by construction.  Both branches
     assume that the batch is the structured grid with n nodes per side.
     """
+    nu = batch.nu
     base = model_eigen_bounds(n)
     if nu == 0.0:
         return base

@@ -21,6 +21,8 @@ from ebsolve import (
     chebyshev3,
     constant_dirichlet,
     dense_interior_eigenvalues,
+    local_mass_batch,
+    local_stiffness_batch,
     model_eigen_bounds,
     model_eigenvalues_all,
     residual,
@@ -158,12 +160,13 @@ def test_criterion_6_three_level_error_bound():
 def test_criterion_7_exactness_and_boundary_invariants():
     worst_rowsum = 0.0
     for level in (1, 2, 3, 4, 5):
-        _, batch, _, _ = make_problem(level)
-        worst_rowsum = max(worst_rowsum, np.max(np.abs(batch.K_e.sum(axis=1))))
+        m, _, _, _ = make_problem(level)
+        K = local_stiffness_batch(m)
+        worst_rowsum = max(worst_rowsum, np.max(np.abs(K.sum(axis=1))))
         assert worst_rowsum <= 1e-14
 
-    _, batch, _, _ = make_problem(4)
-    M = assemble_sparse(batch.M_e, batch.index.indt)
+    m, batch, _, _ = make_problem(4)
+    M = assemble_sparse(local_mass_batch(m), batch.index.indt)
     mass_defect = abs(M.sum() - 1.0)
     assert mass_defect <= 1e-14
 

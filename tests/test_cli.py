@@ -234,3 +234,36 @@ def test_package_entry_point_without_warnings():
     )
     assert proc.returncode == 0, proc.stderr
     assert "cheb3" in proc.stdout
+
+
+def test_run_experiment_calls_through_module_attributes(monkeypatch):
+    # perfbench's tracer times these calls by wrapping the module attributes
+    # the callers look up, and measures setup up to the first solver call; a
+    # caller that bound them any other way would drop out of its spans
+    import ebsolve.cli as cli
+    import ebsolve.solvers as solvers
+
+    calls = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("richardson", "chebyshev2", "chebyshev3", "operator_bounds"):
+        counting(cli, name)
+    for name in ("residual", "mask_dirichlet"):
+        counting(solvers, name)
+
+    run_experiment(ExperimentConfig(level=3, iters=4, solver="all"))
+    for name in ("richardson", "chebyshev2", "chebyshev3", "operator_bounds"):
+        assert calls.count(name) == 1
+    assert calls.count("residual") > 0
+    assert calls.count("mask_dirichlet") > 0
+    # bounds come before any solver, and no residual runs before the first
+    assert calls.index("operator_bounds") < calls.index("richardson")
+    assert calls.index("richardson") < calls.index("residual")

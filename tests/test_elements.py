@@ -162,12 +162,6 @@ def test_batch_validation():
         ElementBatch(A_e=K[:, :, :3], b_e=b, areas=areas, nu=0.0, index=idx)
     with pytest.raises(ValueError):
         ElementBatch(A_e=K, b_e=b, areas=areas[:3], nu=0.0, index=idx)
-    with pytest.raises(ValueError):
-        ElementBatch(A_e=K, b_e=b, areas=areas, nu=0.0, index=idx,
-                     mesh=build_unit_square_mesh(2))
-    # a batch without a mesh has A_e but cannot recompute K_e or M_e
-    with pytest.raises(ValueError, match="mesh"):
-        ElementBatch(A_e=K, b_e=b, areas=areas, nu=0.0, index=idx).K_e
 
 
 @pytest.mark.parametrize("nu", [0.0, 2.5])
@@ -179,12 +173,11 @@ def test_batch_layout_keeps_only_A_e(nu):
     assert batch.A_e.flags.c_contiguous
     # bitwise, down to the sign of zero
     assert batch.A_e.tobytes() == combine_system(K, M, nu).tobytes()
-    assert batch.K_e.tobytes() == K.tobytes()
-    assert batch.M_e.tobytes() == M.tobytes()
-    # K_e and M_e are computed on access, not held beside A_e
+    # K_e and M_e are not held beside A_e, and no mesh is kept to rebuild them
     stored = [name for name, value in vars(batch).items()
               if isinstance(value, np.ndarray) and value.shape == (3, 3, m.n_elements)]
     assert stored == ["A_e"]
+    assert not any(isinstance(value, Mesh) for value in vars(batch).values())
 
 
 def test_batch_load_is_one_read_only_vector():
@@ -202,7 +195,7 @@ def test_batch_load_is_one_read_only_vector():
 def test_build_element_batch_defaults():
     m = build_unit_square_mesh(2)
     batch = build_element_batch(m, nu=2.0)
-    npt.assert_array_equal(batch.A_e, batch.K_e + 2.0 * batch.M_e)
+    npt.assert_array_equal(batch.A_e, local_stiffness_batch(m) + 2.0 * local_mass_batch(m))
     assert batch.nu == 2.0
     assert batch.n_elements == m.n_elements
     # default source is f = 1

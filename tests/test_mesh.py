@@ -148,6 +148,15 @@ def test_index_arrays():
     for n in range(m.n_nodes):
         npt.assert_array_equal(S.indices[S.indptr[n]:S.indptr[n + 1]],
                                np.flatnonzero(flat == n))
+    # indt is the mesh's connectivity, not a copy of it, whatever the mesh's
+    # origin: the generator, refinement, or a C-ordered array given by hand
+    by_hand = np.ascontiguousarray(m.elements)
+    assert by_hand.flags.c_contiguous and not by_hand.flags.f_contiguous
+    for mesh in (m, uniform_refine(m), Mesh(m.nodes, by_hand, m.boundary_nodes)):
+        idx = build_index_arrays(mesh)
+        assert np.shares_memory(idx.indt, mesh.elements)
+        assert idx.indt.flags.c_contiguous
+        npt.assert_array_equal(idx.indt, mesh.elements.T)
 
 
 def test_index_arrays_validation():

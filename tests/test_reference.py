@@ -10,6 +10,8 @@ from ebsolve import (
     assemble_sparse,
     combine_system,
     dense_interior_eigenvalues,
+    local_mass_batch,
+    local_stiffness_batch,
     mask_dirichlet,
     residual,
     solve_reference,
@@ -17,43 +19,45 @@ from ebsolve import (
 
 
 def test_assembled_stiffness_symmetric_zero_rowsums():
-    _, batch, _, _ = make_problem(3)
-    A = assemble_sparse(batch.K_e, batch.index.indt)
+    m, batch, _, _ = make_problem(3)
+    A = assemble_sparse(local_stiffness_batch(m), batch.index.indt)
     assert abs(A - A.T).max() == 0.0
     # constants are in the kernel; dyadic entries make the row sums exact
     assert np.max(np.abs(A @ np.ones(A.shape[0]))) == 0.0
 
 
 def test_assembled_mass_total():
-    _, batch, _, _ = make_problem(3)
-    M = assemble_sparse(batch.M_e, batch.index.indt)
+    m, batch, _, _ = make_problem(3)
+    M = assemble_sparse(local_mass_batch(m), batch.index.indt)
     assert abs(M.sum() - 1.0) <= 1e-14
 
 
 def test_assembly_distributes_over_combination():
     for level in (1, 2, 3, 4):
-        _, batch, _, _ = make_problem(level)
-        K = assemble_sparse(batch.K_e, batch.index.indt)
-        M = assemble_sparse(batch.M_e, batch.index.indt)
-        A = assemble_sparse(combine_system(batch.K_e, batch.M_e, 1.7),
-                            batch.index.indt)
+        m, batch, _, _ = make_problem(level)
+        K_e, M_e = local_stiffness_batch(m), local_mass_batch(m)
+        K = assemble_sparse(K_e, batch.index.indt)
+        M = assemble_sparse(M_e, batch.index.indt)
+        A = assemble_sparse(combine_system(K_e, M_e, 1.7), batch.index.indt)
         assert abs(A - (K + 1.7 * M)).max() <= 1e-14
 
 
 def test_assembly_element_order_invariant():
-    _, batch, _, _ = make_problem(3)
-    A1 = assemble_sparse(batch.K_e, batch.index.indt)
+    m, batch, _, _ = make_problem(3)
+    K_e = local_stiffness_batch(m)
+    A1 = assemble_sparse(K_e, batch.index.indt)
     perm = np.random.default_rng(11).permutation(batch.n_elements)
-    A2 = assemble_sparse(batch.K_e[:, :, perm], batch.index.indt[:, perm])
+    A2 = assemble_sparse(K_e[:, :, perm], batch.index.indt[:, perm])
     assert abs(A1 - A2).max() == 0.0
 
 
 def test_assemble_shape_guard():
-    _, batch, _, _ = make_problem(1)
+    m, batch, _, _ = make_problem(1)
+    K_e = local_stiffness_batch(m)
     with pytest.raises(ValueError):
-        assemble_sparse(batch.K_e[:, :2, :], batch.index.indt)
+        assemble_sparse(K_e[:, :2, :], batch.index.indt)
     with pytest.raises(ValueError):
-        assemble_sparse(batch.K_e, batch.index.indt[:, :3])
+        assemble_sparse(K_e, batch.index.indt[:, :3])
 
 
 def test_level1_interior_value():
@@ -109,13 +113,13 @@ def test_cg_fallback_matches_direct(monkeypatch):
 
 
 def test_dense_eigenvalues_level1():
-    _, batch, d, _ = make_problem(1)
-    A = assemble_sparse(batch.K_e, batch.index.indt)
+    m, batch, d, _ = make_problem(1)
+    A = assemble_sparse(local_stiffness_batch(m), batch.index.indt)
     npt.assert_allclose(dense_interior_eigenvalues(A, d), [4.0], atol=1e-12)
 
 
 def test_dense_eigenvalues_size_guard():
-    _, batch, d, _ = make_problem(6)  # 63*63 = 3969 interior nodes
-    A = assemble_sparse(batch.K_e, batch.index.indt)
+    m, batch, d, _ = make_problem(6)  # 63*63 = 3969 interior nodes
+    A = assemble_sparse(local_stiffness_batch(m), batch.index.indt)
     with pytest.raises(ValueError):
         dense_interior_eigenvalues(A, d)

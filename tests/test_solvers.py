@@ -219,7 +219,7 @@ def test_cheb3_residual_envelope_with_mass_term(level, nu, iters):
     # ||r_k|| <= 2 rho^k ||r_0|| holds only if operator_bounds encloses the
     # spectrum; the 1e-12 term covers the round-off floor reached at level 5
     m, batch, d, _ = make_problem(level, nu=nu)
-    bounds = operator_bounds(batch, d, 2**level + 1, nu)
+    bounds = operator_bounds(batch, d, 2**level + 1)
     _, hist = chebyshev3(batch, d, np.ones(m.n_nodes), bounds, iters)
     rho = ((np.sqrt(bounds.lambda2) - np.sqrt(bounds.lambda1))
            / (np.sqrt(bounds.lambda2) + np.sqrt(bounds.lambda1)))

@@ -12,6 +12,7 @@ from ebsolve import (
     build_grid_mesh,
     constant_dirichlet,
     dense_interior_eigenvalues,
+    local_mass_batch,
     mass_bounds,
     model_eigen_bounds,
     model_eigenvalues_all,
@@ -77,7 +78,7 @@ def test_mass_gershgorin_encloses_spectrum(level):
     m, batch, d, _ = make_problem(level)
     lo, hi = mass_bounds(batch, d)
     assert 0.0 <= lo <= hi
-    M = assemble_sparse(batch.M_e, batch.index.indt)
+    M = assemble_sparse(local_mass_batch(m), batch.index.indt)
     eigs = dense_interior_eigenvalues(M, d)
     assert lo <= eigs[0] + 1e-15
     assert eigs[-1] <= hi + 1e-15
@@ -91,7 +92,7 @@ def test_mass_bounds_enclose_perturbed_mesh_spectrum(level, amp, seed):
     batch = build_element_batch(m)
     d = constant_dirichlet(m)
     lo, hi = mass_bounds(batch, d)
-    M = assemble_sparse(batch.M_e, batch.index.indt)
+    M = assemble_sparse(local_mass_batch(m), batch.index.indt)
     eigs = dense_interior_eigenvalues(M, d)
     assert 0.0 < lo <= eigs[0] * (1 + 1e-12)
     assert eigs[-1] <= hi * (1 + 1e-12)
@@ -99,7 +100,7 @@ def test_mass_bounds_enclose_perturbed_mesh_spectrum(level, amp, seed):
 
 def test_operator_bounds_pure_stiffness():
     _, batch, d, _ = make_problem(3)
-    b = operator_bounds(batch, d, 9, 0.0)
+    b = operator_bounds(batch, d, 9)
     ref = model_eigen_bounds(9)
     assert b.lambda1 == ref.lambda1
     assert b.lambda2 == ref.lambda2
@@ -109,7 +110,7 @@ def test_operator_bounds_pure_stiffness():
 @pytest.mark.parametrize("nu", [1.0, 10.0])
 def test_operator_bounds_with_mass_term(level, nu):
     m, batch, d, _ = make_problem(level, nu=nu)
-    b = operator_bounds(batch, d, 2**level + 1, nu)
+    b = operator_bounds(batch, d, 2**level + 1)
     A = assemble_sparse(batch.A_e, batch.index.indt)
     eigs = dense_interior_eigenvalues(A, d)
     assert b.lambda1 <= eigs[0] + 1e-12
