@@ -9,8 +9,6 @@ from .cli import ExperimentConfig, ExperimentReport, run_experiment
 from .elements import (
     ElementBatch,
     build_element_batch,
-    combine_system,
-    local_load_batch,
     local_mass_batch,
     local_stiffness_batch,
 )
@@ -20,12 +18,10 @@ from .mesh import (
     build_grid_mesh,
     build_index_arrays,
     build_unit_square_mesh,
-    export_mesh,
     uniform_refine,
 )
 from .operators import (
     DirichletData,
-    apply_initial_guess,
     assemble_rhs,
     constant_dirichlet,
     mask_dirichlet,
@@ -33,7 +29,6 @@ from .operators import (
 )
 from .reference import assemble_sparse, dense_interior_eigenvalues, solve_reference
 from .solvers import (
-    ChebyshevCycle,
     ConvergenceHistory,
     SpectralBounds,
     chebyshev2,
@@ -50,7 +45,6 @@ from .spectrum import (
 )
 
 __all__ = [
-    "ChebyshevCycle",
     "ConvergenceHistory",
     "DirichletData",
     "ElementBatch",
@@ -59,7 +53,6 @@ __all__ = [
     "IndexArrays",
     "Mesh",
     "SpectralBounds",
-    "apply_initial_guess",
     "assemble_rhs",
     "assemble_sparse",
     "build_element_batch",
@@ -70,11 +63,8 @@ __all__ = [
     "chebyshev3",
     "chebyshev_roots",
     "chebyshev_scaling_factor",
-    "combine_system",
     "constant_dirichlet",
     "dense_interior_eigenvalues",
-    "export_mesh",
-    "local_load_batch",
     "local_mass_batch",
     "local_stiffness_batch",
     "mask_dirichlet",

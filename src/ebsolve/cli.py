@@ -79,14 +79,14 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         )
     if cfg.iters < 0:
         problems.append(f"--iters must be nonnegative (got {cfg.iters})")
-    if cfg.nu < 0:
-        problems.append(f"--nu must be nonnegative (got {cfg.nu})")
+    if not (np.isfinite(cfg.nu) and cfg.nu >= 0):
+        problems.append(f"--nu must be finite and nonnegative (got {cfg.nu})")
     if cfg.cycle_n < 1:
         problems.append(f"--cycle-n must be at least 1 (got {cfg.cycle_n})")
     if cfg.threads < 1:
         problems.append(f"--threads must be at least 1 (got {cfg.threads})")
-    if cfg.tol is not None and not cfg.tol > 0:
-        problems.append(f"--tol must be positive (got {cfg.tol})")
+    if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol > 0):
+        problems.append(f"--tol must be finite and positive (got {cfg.tol})")
     if cfg.solver not in SOLVER_CHOICES:
         problems.append(f"unknown solver {cfg.solver!r}; choose from {SOLVER_CHOICES}")
     if "cheb3" in solvers and cfg.level == 1 and cfg.nu == 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .mesh import IndexArrays, Mesh, build_index_arrays, signed_areas
+from .mesh import IndexArrays, Mesh, build_index_arrays
 
 EPS_AREA = 1e-14
 
@@ -49,8 +49,8 @@ class ElementBatch:
             raise ValueError(f"b_e must have shape (3, {n_e}), got {self.b_e.shape}")
         if self.areas.shape != (n_e,):
             raise ValueError(f"areas must have shape ({n_e},), got {self.areas.shape}")
-        if self.nu < 0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
+        if not (np.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
         object.__setattr__(self, "A_e", np.ascontiguousarray(self.A_e, dtype=np.float64))
 
     @property
@@ -121,35 +121,15 @@ def _load(m: Mesh, areas, f) -> npt.NDArray[np.float64]:
     return np.broadcast_to(load, (3, m.n_elements))
 
 
-def local_load_batch(m: Mesh, f) -> npt.NDArray[np.float64]:
-    """Local loads by one-point centroid quadrature: b_e[j] = f(centroid)*area/3.
-
-    ``f(x, y)`` is evaluated on coordinate arrays; a scalar return value is
-    broadcast.  Exact whenever f is constant.  The three local loads of an
-    element are equal, so the (3, n_e) result is a read-only broadcast view
-    of one per-element vector.
-    """
-    return _load(m, signed_areas(m.nodes, m.elements), f)
-
-
-def combine_system(K_e: np.ndarray, M_e: np.ndarray, nu: float) -> npt.NDArray[np.float64]:
-    """A_e = K_e + nu*M_e, elementwise over the whole batch."""
-    if K_e.shape != M_e.shape:
-        raise ValueError(f"shape mismatch: K_e {K_e.shape} vs M_e {M_e.shape}")
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-    return K_e + nu * M_e
-
-
 def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
     """Assemble the full batch for a mesh (default source f = 1).
 
     The triangle geometry is computed once and A_e is written in place, with
-    the same arithmetic as
-    ``combine_system(local_stiffness_batch(m), local_mass_batch(m), nu)``.
+    the same arithmetic as ``local_stiffness_batch(m) + nu * local_mass_batch(m)``.
+    b_e[j] = f(centroid)*area/3 by one-point quadrature; a scalar f is broadcast.
     """
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
+    if not (np.isfinite(nu) and nu >= 0):
+        raise ValueError(f"nu must be finite and nonnegative, got {nu}")
     if f is None:
         f = lambda x, y: np.ones_like(x)
     areas, grads = _triangle_geometry(m)

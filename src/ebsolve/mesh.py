@@ -74,57 +74,58 @@ class IndexArrays:
     """Gather/scatter index array replacing explicit connectivity matrices.
 
     ``indt`` has shape (3, n_e); column e holds the global indices of
-    element e's nodes.  It gathers global nodal values into element-local
-    vectors (``x[indt]``) and scatters local contributions back.
+    element e's nodes, each below ``n_nodes``.  It gathers global nodal
+    values into element-local vectors (``x[indt]``) and scatters local
+    contributions back.
 
     ``scatter_matrix`` is the scatter precomputed from ``indt`` alone, the
     counterpart of MATLAB's ``accumarray``: a 0/1 CSR matrix of shape
-    (indt.max()+1, 3*n_e) whose row n lists, in ascending order, the
-    positions of node n in ``indt.ravel()``.  It holds connectivity only,
-    no element values.
+    (n_nodes, 3*n_e) whose row n lists, in ascending order, the positions
+    of node n in ``indt.ravel()``.  It holds connectivity only, no element
+    values.
     """
 
     indt: npt.NDArray[np.int64]
+    n_nodes: int
     scatter_matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indt = np.ascontiguousarray(self.indt, dtype=np.int64)
         if indt.ndim != 2 or indt.shape[0] != 3:
             raise ValueError(f"indt must have shape (3, n_e), got {indt.shape}")
+        if indt.size and (indt.min() < 0 or indt.max() >= self.n_nodes):
+            raise ValueError(f"indt references nodes outside 0..{self.n_nodes - 1}")
         indt.setflags(write=False)
         object.__setattr__(self, "indt", indt)
         flat = indt.ravel()
-        n_rows = int(flat.max()) + 1 if flat.size else 0
         # COO -> CSR is a counting sort, so each row keeps its positions in
         # ascending order; int32 positions spare scipy an int64 -> int32 copy
         positions = np.arange(flat.size, dtype=np.int32)
         S = sp.csr_matrix((np.ones(flat.size), (flat, positions)),
-                          shape=(n_rows, flat.size))
+                          shape=(self.n_nodes, flat.size))
         object.__setattr__(self, "scatter_matrix", S)
 
-    def scatter(self, local: np.ndarray, n: int) -> npt.NDArray[np.float64]:
-        """Sum the (3, n_e) local contributions into a global vector of length n.
+    def scatter(self, local: np.ndarray) -> npt.NDArray[np.float64]:
+        """Sum the (3, n_e) local contributions into a global vector of length n_nodes.
 
         Row n of the scatter matrix adds node n's contributions in the order
         they appear in ``indt.ravel()``, the order ``np.bincount`` uses, so the
-        result is bitwise equal to ``np.bincount(indt.ravel(), local.ravel(), n)``.
+        result is bitwise equal to
+        ``np.bincount(indt.ravel(), local.ravel(), minlength=n_nodes)``.
         Nodes that no element references get 0.
         """
-        S = self.scatter_matrix
         if local.shape != self.indt.shape:
             raise ValueError(f"shape mismatch: local {local.shape} vs indt {self.indt.shape}")
-        out = S @ np.ravel(local)
-        if n > S.shape[0]:
-            out = np.concatenate([out, np.zeros(n - S.shape[0])])
-        return out
+        return self.scatter_matrix @ np.ravel(local)
 
 
 def signed_areas(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Signed area of every triangle (positive for counterclockwise)."""
-    p = nodes[elements]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    # one 1-D gather per corner and coordinate, no (n_e, 3, 2) temporary
+    x, y = nodes.T
+    a, b, c = elements.T
+    xa, ya = x[a], y[a]
+    return 0.5 * ((x[b] - xa) * (y[c] - ya) - (y[b] - ya) * (x[c] - xa))
 
 
 def build_grid_mesh(n: int) -> Mesh:
@@ -162,11 +163,6 @@ def build_unit_square_mesh(level: int) -> Mesh:
     return build_grid_mesh(2**level + 1)
 
 
-def boundary_nodes(m: Mesh) -> npt.NDArray[np.int64]:
-    """Indices of nodes with a coordinate equal to 0 or 1, sorted ascending."""
-    return _detect_boundary(m.nodes)
-
-
 def _detect_boundary(nodes: np.ndarray) -> npt.NDArray[np.int64]:
     near = np.abs(nodes) <= _BOUNDARY_TOL
     far = np.abs(nodes - 1.0) <= _BOUNDARY_TOL
@@ -178,7 +174,7 @@ def build_index_arrays(m: Mesh) -> IndexArrays:
 
     ``indt`` is a view of ``m.elements``, not a copy.
     """
-    return IndexArrays(m.elements.T)
+    return IndexArrays(m.elements.T, m.n_nodes)
 
 
 def uniform_refine(m: Mesh) -> Mesh:
@@ -234,12 +230,3 @@ def uniform_refine(m: Mesh) -> Mesh:
     level = None if m.level is None else m.level + 1
     return Mesh(new_nodes, children, _detect_boundary(new_nodes), level=level)
 
-
-def export_mesh(m: Mesh, directory) -> None:
-    """Debug dump: ``nodes.txt`` (x y per line) and ``elements.txt`` (i j k)."""
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    np.savetxt(directory / "nodes.txt", m.nodes, fmt="%.17g")
-    np.savetxt(directory / "elements.txt", m.elements, fmt="%d")

@@ -85,8 +85,9 @@ def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1) -> npt.NDArra
     independent of ``threads``.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"x must be a flat global vector, got shape {x.shape}")
+    n_n = batch.index.n_nodes
+    if x.shape != (n_n,):
+        raise ValueError(f"x must be a flat global vector of length {n_n}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x contains non-finite entries")
     n_e = batch.n_elements
@@ -106,18 +107,10 @@ def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1) -> npt.NDArra
         bounds = np.linspace(0, n_e, threads + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(local_residuals, bounds[:-1], bounds[1:]))
-    return batch.index.scatter(local, x.shape[0])
+    return batch.index.scatter(local)
 
 
 def mask_dirichlet(r: np.ndarray, d: DirichletData) -> npt.NDArray[np.float64]:
-    """Zero the residual at constrained nodes (returns a copy)."""
-    out = np.array(r, dtype=np.float64, copy=True)
-    out[d.nd] = 0.0
-    return out
-
-
-def apply_initial_guess(m: Mesh, d: DirichletData) -> npt.NDArray[np.float64]:
-    """Conforming start vector: prescribed values on constrained nodes, 0 elsewhere."""
-    x0 = np.zeros(m.n_nodes)
-    x0[d.nd] = d.values
-    return x0
+    """Zero the residual at constrained nodes, in place; returns ``r``."""
+    r[d.nd] = 0.0
+    return r

@@ -57,16 +57,6 @@ class SpectralBounds:
 
 
 @dataclass(frozen=True)
-class ChebyshevCycle:
-    """Precomputed cycle of step denominators for the two-level method."""
-
-    N: int
-    alphas: npt.NDArray[np.float64]
-    d: float
-    c: float
-
-
-@dataclass(frozen=True)
 class ConvergenceHistory:
     """Per-iteration record of one solve.
 
@@ -82,21 +72,20 @@ class ConvergenceHistory:
     diverged: bool = False
 
 
-def chebyshev_roots(bounds: SpectralBounds, N: int) -> ChebyshevCycle:
+def chebyshev_roots(bounds: SpectralBounds, N: int) -> npt.NDArray[np.float64]:
     """Roots of the degree-N Chebyshev polynomial shifted to [lambda1, lambda2].
 
-    alphas[k] = d + c*cos(pi*(k+1/2)/N), k = 0..N-1, with d the interval
-    center and c its half-width.  N = 1 degenerates to the single root d, so
-    one cycle step equals Richardson's optimal step.
+    Returns the read-only array alphas[k] = d + c*cos(pi*(k+1/2)/N),
+    k = 0..N-1, with d the interval center and c its half-width.  N = 1
+    degenerates to the single root d, so one cycle step equals Richardson's
+    optimal step.
     """
     if N < 1:
         raise ValueError(f"cycle length must be positive, got N={N}")
-    d = bounds.center
-    c = bounds.half_width
     k = np.arange(N)
-    alphas = d + c * np.cos(np.pi * (k + 0.5) / N)
+    alphas = bounds.center + bounds.half_width * np.cos(np.pi * (k + 0.5) / N)
     alphas.setflags(write=False)
-    return ChebyshevCycle(N=N, alphas=alphas, d=d, c=c)
+    return alphas
 
 
 def chebyshev_scaling_factor(bounds: SpectralBounds, k: int) -> float:
@@ -205,10 +194,10 @@ def chebyshev2(
     steps amplify high-frequency content, which makes intermediate residuals
     grow before the cycle completes.
     """
-    cycle = chebyshev_roots(bounds, N)
+    alphas = chebyshev_roots(bounds, N)
 
     def advance(k, x, r):
-        return x + (1.0 / cycle.alphas[k % cycle.N]) * r
+        return x + (1.0 / alphas[k % N]) * r
 
     return _iterate(batch, d, x0, iters, advance, tol=tol, reference=reference,
                     callback=callback, threads=threads)

@@ -65,10 +65,9 @@ def mass_bounds(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
     s_i add up ``batch.areas``, the areas M_e is built from, with the
     batch's precomputed scatter.
     """
-    indt = batch.index.indt
-    n_n = int(indt.max()) + 1
-    node_area = batch.index.scatter(np.broadcast_to(batch.areas, indt.shape), n_n)
-    is_free = np.ones(n_n, dtype=bool)
+    index = batch.index
+    node_area = index.scatter(np.broadcast_to(batch.areas, index.indt.shape))
+    is_free = np.ones(index.n_nodes, dtype=bool)
     is_free[d.nd] = False
     s = node_area[is_free]
     if s.size == 0:

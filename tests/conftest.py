@@ -35,7 +35,7 @@ def diagonal_batch(diag, load):
         b_e=np.asarray(load, dtype=np.float64).reshape(3, 1),
         areas=np.array([0.5]),
         nu=0.0,
-        index=IndexArrays(indt),
+        index=IndexArrays(indt, 3),
     )
 
 

@@ -77,6 +77,16 @@ def test_main_rejects_bad_numerics(capsys):
     assert err.count("error:") == 5
 
 
+def test_main_rejects_nonfinite_numerics(capsys):
+    # nan passes a "< 0" check, and inf a "> 0" one
+    assert main(["--level", "3", "--nu", "nan", "--solver", "direct"]) == 2
+    assert main(["--level", "3", "--nu", "inf", "--solver", "cheb3"]) == 2
+    assert main(["--level", "3", "--tol", "inf"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert "--nu" in err[0] and "--nu" in err[1] and "--tol" in err[2]
+
+
 def test_run_experiment_validation_message():
     with pytest.raises(ValueError, match="cheb3"):
         run_experiment(ExperimentConfig(level=1))

@@ -10,8 +10,6 @@ from ebsolve import (
     build_element_batch,
     build_index_arrays,
     build_unit_square_mesh,
-    combine_system,
-    local_load_batch,
     local_mass_batch,
     local_stiffness_batch,
 )
@@ -84,17 +82,17 @@ def test_mass_scales_with_area():
 def test_load_constant_source():
     m = build_unit_square_mesh(3)
     area = 0.5 * 0.25**3
-    b = local_load_batch(m, lambda x, y: np.ones_like(x))
+    b = build_element_batch(m, f=lambda x, y: np.ones_like(x)).b_e
     npt.assert_allclose(b, np.full((3, m.n_elements), area / 3.0), rtol=1e-15)
     assert abs(b.sum() - 1.0) <= 1e-14
 
-    assert np.all(local_load_batch(m, lambda x, y: np.zeros_like(x)) == 0.0)
+    assert np.all(build_element_batch(m, f=lambda x, y: np.zeros_like(x)).b_e == 0.0)
 
 
 def test_load_centroid_rule():
     # element 0 at level 1 has corners (0,0), (.5,0), (.5,.5)
     m = build_unit_square_mesh(1)
-    b = local_load_batch(m, lambda x, y: x + y)
+    b = build_element_batch(m, f=lambda x, y: x + y).b_e
     centroid_val = (0.0 + 0.5 + 0.5) / 3 + (0.0 + 0.0 + 0.5) / 3
     npt.assert_allclose(b[:, 0], centroid_val * 0.125 / 3.0, rtol=1e-15)
 
@@ -106,35 +104,21 @@ def test_load_matches_mean_centroid_reference():
     f = lambda x, y: np.sin(7.0 * x) * np.exp(y)
     centroids = m.nodes[m.elements].mean(axis=1)
     ref = f(centroids[:, 0], centroids[:, 1]) * signed_areas(m.nodes, m.elements) / 3.0
-    b = local_load_batch(m, f)
+    b = build_element_batch(m, f=f).b_e
     for j in range(3):
         assert b[j].tobytes() == ref.tobytes()
 
 
 def test_load_scalar_broadcast():
     m = build_unit_square_mesh(1)
-    b = local_load_batch(m, lambda x, y: 2.0)
-    npt.assert_allclose(b, 2.0 * local_load_batch(m, lambda x, y: np.ones_like(x)))
+    b = build_element_batch(m, f=lambda x, y: 2.0).b_e
+    npt.assert_allclose(b, 2.0 * build_element_batch(m, f=lambda x, y: np.ones_like(x)).b_e)
 
 
 def test_load_rejects_nonfinite_source():
     m = build_unit_square_mesh(1)
     with pytest.raises(ValueError):
-        local_load_batch(m, lambda x, y: np.full_like(x, np.nan))
-
-
-def test_combine_system():
-    m = build_unit_square_mesh(2)
-    K = local_stiffness_batch(m)
-    M = local_mass_batch(m)
-    npt.assert_array_equal(combine_system(K, M, 0.0), K)
-    A = combine_system(K, M, 1.0)
-    npt.assert_array_equal(A, K + M)
-    npt.assert_array_equal(A, A.transpose(1, 0, 2))
-    with pytest.raises(ValueError):
-        combine_system(K, M[:, :, :4], 1.0)
-    with pytest.raises(ValueError):
-        combine_system(K, M, -0.5)
+        build_element_batch(m, f=lambda x, y: np.full_like(x, np.nan))
 
 
 def test_degenerate_triangle_rejected():
@@ -153,11 +137,14 @@ def test_batch_validation():
     K = local_stiffness_batch(m)
     areas = signed_areas(m.nodes, m.elements)
     idx = build_index_arrays(m)
-    b = local_load_batch(m, lambda x, y: np.ones_like(x))
+    b = build_element_batch(m).b_e
     with pytest.raises(ValueError):
         ElementBatch(A_e=K, b_e=b[:, :3], areas=areas, nu=0.0, index=idx)
-    with pytest.raises(ValueError):
-        ElementBatch(A_e=K, b_e=b, areas=areas, nu=-1.0, index=idx)
+    for nu in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nu"):
+            ElementBatch(A_e=K, b_e=b, areas=areas, nu=nu, index=idx)
+        with pytest.raises(ValueError, match="nu"):
+            build_element_batch(m, nu=nu)
     with pytest.raises(ValueError):
         ElementBatch(A_e=K[:, :, :3], b_e=b, areas=areas, nu=0.0, index=idx)
     with pytest.raises(ValueError):
@@ -172,7 +159,7 @@ def test_batch_layout_keeps_only_A_e(nu):
     assert batch.A_e.shape == (3, 3, m.n_elements)
     assert batch.A_e.flags.c_contiguous
     # bitwise, down to the sign of zero
-    assert batch.A_e.tobytes() == combine_system(K, M, nu).tobytes()
+    assert batch.A_e.tobytes() == (K + nu * M).tobytes()
     # K_e and M_e are not held beside A_e, and no mesh is kept to rebuild them
     stored = [name for name, value in vars(batch).items()
               if isinstance(value, np.ndarray) and value.shape == (3, 3, m.n_elements)]
@@ -200,4 +187,4 @@ def test_build_element_batch_defaults():
     assert batch.n_elements == m.n_elements
     # default source is f = 1
     npt.assert_array_equal(batch.b_e,
-                           local_load_batch(m, lambda x, y: np.ones_like(x)))
+                           build_element_batch(m, f=lambda x, y: np.ones_like(x)).b_e)

@@ -1,6 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import perturbed_mesh
 
 from ebsolve import (
     Mesh,
@@ -8,10 +12,9 @@ from ebsolve import (
     build_grid_mesh,
     build_index_arrays,
     build_unit_square_mesh,
-    export_mesh,
     uniform_refine,
 )
-from ebsolve.mesh import MAX_LEVEL, boundary_nodes, signed_areas
+from ebsolve.mesh import MAX_LEVEL, signed_areas
 
 
 def test_level_counts():
@@ -51,6 +54,35 @@ def test_areas_exact():
         assert areas.sum() == 1.0
 
 
+def stacked_signed_areas(nodes, elements):
+    """Reference: the (n_e, 3, 2) corner gather, differenced per edge."""
+    p = nodes[elements]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(level=st.integers(2, 4), amp=st.floats(0.0, 0.1),
+       seed=st.integers(0, 2**32 - 1))
+def test_signed_areas_match_stacked_gather_bitwise(level, amp, seed):
+    m = perturbed_mesh(level, amp, seed)
+    ref = stacked_signed_areas(m.nodes, m.elements)
+    assert signed_areas(m.nodes, m.elements).tobytes() == ref.tobytes()
+
+
+def test_signed_areas_comparison_detects_reassociation():
+    # the bitwise comparison above has teeth: the same area with its
+    # products regrouped (the shoelace form) rounds differently
+    m = perturbed_mesh(2, 0.1, 0)
+    x, y = m.nodes.T
+    a, b, c = m.elements.T
+    shoelace = 0.5 * (x[a] * (y[b] - y[c]) + x[b] * (y[c] - y[a]) + x[c] * (y[a] - y[b]))
+    ref = stacked_signed_areas(m.nodes, m.elements)
+    npt.assert_allclose(shoelace, ref, rtol=1e-12)
+    assert shoelace.tobytes() != ref.tobytes()
+
+
 def test_boundary_nodes():
     for level in range(7):
         m = build_unit_square_mesh(level)
@@ -60,7 +92,6 @@ def test_boundary_nodes():
         coords = m.nodes[nd]
         on_edge = (coords == 0.0) | (coords == 1.0)
         assert np.all(on_edge.any(axis=1))
-        npt.assert_array_equal(nd, boundary_nodes(m))
     interior = np.setdiff1d(np.arange(m.n_nodes), nd)
     assert np.all((m.nodes[interior] > 0) & (m.nodes[interior] < 1))
 
@@ -162,19 +193,17 @@ def test_index_arrays():
 def test_index_arrays_validation():
     indt = np.array([[0], [1], [2]])
     with pytest.raises(ValueError):
-        IndexArrays(indt.reshape(1, 3))
+        IndexArrays(indt.reshape(1, 3), 3)
     with pytest.raises(ValueError):
-        IndexArrays(indt.reshape(3, 1, 1))
+        IndexArrays(indt.reshape(3, 1, 1), 3)
     with pytest.raises(ValueError):
-        IndexArrays(-indt)
+        IndexArrays(-indt, 3)
+    with pytest.raises(ValueError):  # node 2 is not below the node count
+        IndexArrays(indt, 2)
     with pytest.raises(ValueError):
-        IndexArrays(indt).scatter(np.ones((3, 2)), 3)
-
-
-def test_export_mesh_roundtrip(tmp_path):
-    m = build_unit_square_mesh(2)
-    export_mesh(m, tmp_path)
-    nodes = np.loadtxt(tmp_path / "nodes.txt")
-    elements = np.loadtxt(tmp_path / "elements.txt", dtype=np.int64)
-    npt.assert_array_equal(nodes, m.nodes)
-    npt.assert_array_equal(elements, m.elements)
+        IndexArrays(indt, 3).scatter(np.ones((3, 2)))
+    # nodes that no element references get rows of their own, summing to 0
+    idx = IndexArrays(indt, 5)
+    assert idx.scatter_matrix.shape == (5, 3)
+    npt.assert_array_equal(idx.scatter(np.array([[1.0], [2.0], [3.0]])),
+                           [1.0, 2.0, 3.0, 0.0, 0.0])

@@ -11,7 +11,6 @@ from conftest import make_problem, perturbed_mesh
 from ebsolve import (
     DirichletData,
     Mesh,
-    apply_initial_guess,
     assemble_rhs,
     assemble_sparse,
     build_element_batch,
@@ -43,10 +42,10 @@ def test_scatter_reproduces_assemble_rhs():
     batch = build_element_batch(m, nu=1.5, f=lambda x, y: np.cos(3.0 * x) - y)
     idx = batch.index
     b = assemble_rhs(batch.b_e, idx.indt)
-    assert idx.scatter(batch.b_e, m.n_nodes).tobytes() == b.tobytes()
+    assert idx.scatter(batch.b_e).tobytes() == b.tobytes()
     local = np.random.default_rng(2).standard_normal(idx.indt.shape)
-    ref = np.bincount(idx.indt.ravel(), weights=local.ravel(), minlength=m.n_nodes + 3)
-    assert idx.scatter(local, m.n_nodes + 3).tobytes() == ref.tobytes()
+    ref = np.bincount(idx.indt.ravel(), weights=local.ravel(), minlength=m.n_nodes)
+    assert idx.scatter(local).tobytes() == ref.tobytes()
 
 
 def test_residual_at_zero_is_rhs():
@@ -152,26 +151,24 @@ def test_residual_input_validation():
         residual(batch, bad)
 
 
+def test_residual_rejects_wrong_length():
+    m, batch, _, _ = make_problem(2)
+    assert m.n_nodes == 25
+    for n in (24, 26, 29):
+        with pytest.raises(ValueError, match="length 25"):
+            residual(batch, np.zeros(n))
+
+
 def test_mask_dirichlet():
     m, batch, d, b = make_problem(2)
     r = residual(batch, np.zeros(m.n_nodes))
-    masked = mask_dirichlet(r, d)
-    assert masked is not r
-    assert np.all(masked[d.nd] == 0.0)
+    before = r.copy()
+    # masks in place: the same array comes back
+    assert mask_dirichlet(r, d) is r
+    assert np.all(r[d.nd] == 0.0)
+    assert np.any(before[d.nd] != 0.0)
     free = np.setdiff1d(np.arange(m.n_nodes), d.nd)
-    npt.assert_array_equal(masked[free], r[free])
-    # the input is left untouched
-    npt.assert_array_equal(r, residual(batch, np.zeros(m.n_nodes)))
-
-
-def test_apply_initial_guess():
-    m = build_unit_square_mesh(1)
-    d = constant_dirichlet(m, 1.0)
-    x0 = apply_initial_guess(m, d)
-    assert x0.shape == (9,)
-    assert np.all(x0[d.nd] == 1.0)
-    assert x0[4] == 0.0
-    assert np.count_nonzero(x0) == len(d.nd) == 8
+    assert r[free].tobytes() == before[free].tobytes()
 
 
 def test_constant_dirichlet_values():

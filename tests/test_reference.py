@@ -8,7 +8,6 @@ from conftest import make_problem
 from ebsolve import (
     assemble_rhs,
     assemble_sparse,
-    combine_system,
     dense_interior_eigenvalues,
     local_mass_batch,
     local_stiffness_batch,
@@ -38,7 +37,7 @@ def test_assembly_distributes_over_combination():
         K_e, M_e = local_stiffness_batch(m), local_mass_batch(m)
         K = assemble_sparse(K_e, batch.index.indt)
         M = assemble_sparse(M_e, batch.index.indt)
-        A = assemble_sparse(combine_system(K_e, M_e, 1.7), batch.index.indt)
+        A = assemble_sparse(K_e + 1.7 * M_e, batch.index.indt)
         assert abs(A - (K + 1.7 * M)).max() <= 1e-14
 
 

@@ -47,26 +47,27 @@ def test_spectral_bounds():
 
 
 def test_chebyshev_roots_two_point():
-    cycle = chebyshev_roots(SpectralBounds(0.0, 8.0), 2)
-    npt.assert_allclose(cycle.alphas, [4 + 2 * np.sqrt(2), 4 - 2 * np.sqrt(2)],
+    alphas = chebyshev_roots(SpectralBounds(0.0, 8.0), 2)
+    npt.assert_allclose(alphas, [4 + 2 * np.sqrt(2), 4 - 2 * np.sqrt(2)],
                         rtol=1e-14)
 
 
 def test_chebyshev_roots_order_and_range():
     b = SpectralBounds(1.0, 3.0)
-    cycle = chebyshev_roots(b, 8)
-    assert np.all(np.diff(cycle.alphas) < 0)  # naive descending order
-    assert np.all((cycle.alphas > b.lambda1) & (cycle.alphas < b.lambda2))
+    alphas = chebyshev_roots(b, 8)
+    assert np.all(np.diff(alphas) < 0)  # naive descending order
+    assert np.all((alphas > b.lambda1) & (alphas < b.lambda2))
     # roots come in pairs symmetric about the interval center
-    npt.assert_allclose(cycle.alphas + cycle.alphas[::-1], 2 * b.center, rtol=1e-14)
+    npt.assert_allclose(alphas + alphas[::-1], 2 * b.center, rtol=1e-14)
 
 
 def test_chebyshev_roots_single():
     # one root: exactly the interval center, so one cycle step is the
     # optimal Richardson step
     for b in (SpectralBounds(1.0, 3.0), model_eigen_bounds(33)):
-        cycle = chebyshev_roots(b, 1)
-        assert cycle.alphas[0] == b.center
+        alphas = chebyshev_roots(b, 1)
+        assert alphas.shape == (1,)
+        assert alphas[0] == b.center
 
 
 def test_chebyshev_roots_validation():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from conftest import make_problem, perturbed_mesh
 
 from ebsolve import (
+    DirichletData,
+    Mesh,
     assemble_sparse,
     build_element_batch,
     build_grid_mesh,
@@ -96,6 +98,18 @@ def test_mass_bounds_enclose_perturbed_mesh_spectrum(level, amp, seed):
     eigs = dense_interior_eigenvalues(M, d)
     assert 0.0 < lo <= eigs[0] * (1 + 1e-12)
     assert eigs[-1] <= hi * (1 + 1e-12)
+
+
+def test_mass_bounds_count_the_last_node_when_no_element_references_it():
+    grid = build_grid_mesh(5)
+    m = Mesh(np.vstack([grid.nodes, [[0.5, 0.55]]]), grid.elements, grid.boundary_nodes)
+    batch = build_element_batch(m)
+    grid_bounds = mass_bounds(build_element_batch(grid), constant_dirichlet(grid))
+    # free, the lone node is a zero row of M: the free-node spectrum holds 0
+    assert mass_bounds(batch, constant_dirichlet(m)) == (0.0, grid_bounds[1])
+    # constrained, it leaves the grid's interval unchanged
+    nd = np.append(grid.boundary_nodes, m.n_nodes - 1)
+    assert mass_bounds(batch, DirichletData(nd, np.ones(nd.size))) == grid_bounds
 
 
 def test_operator_bounds_pure_stiffness():
