@@ -6,6 +6,11 @@ lower-left to the upper-right corner.  Nodes are numbered row by row
 (y outer, x inner), so node ``iy*n + ix`` sits at ``(ix/(n-1), iy/(n-1))``.
 All coordinates are dyadic rationals for the level-based sizes, which keeps
 midpoint refinement bit-exact.
+
+Connectivity is held once, as int32 in C order (one node triple per row).
+The element operator reads it three ways without copying: ``elements.T`` is
+the (3, n_e) gather array ``indt``, ``elements.ravel()`` the column array of
+the per-row element CSR matrices, and the scatter matrix is built from it.
 """
 
 from __future__ import annotations
@@ -22,34 +27,49 @@ MAX_LEVEL = 12
 
 _BOUNDARY_TOL = 1e-12
 
+# connectivity, row pointers and scatter positions are int32
+INDEX_MAX = np.iinfo(np.int32).max
+
+# Elements per block when node data is gathered through the connectivity.
+# numpy converts an int32 index to intp before it gathers; a block's copy
+# stays in cache.  Level 10, signed_areas: 45 ms, against 99 ms for
+# full-width int32 gathers and 56 ms for full-width int64 ones.
+GATHER_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class Mesh:
     """A triangulation: node coordinates, connectivity and boundary set.
 
-    ``elements`` holds one counterclockwise node-index triple per row,
-    stored element-contiguous (Fortran order): ``elements.T`` is the
-    C-contiguous (3, n_e) index array the element kernels gather through,
-    and ``build_index_arrays`` shares it rather than copying it.
+    ``elements`` holds one counterclockwise node-index triple per row, as
+    a C-contiguous int32 (n_e, 3) array: ``elements.ravel()`` lists each
+    element's three nodes in turn, the column array of the element
+    operator, and ``build_index_arrays`` shares the array rather than
+    copying it.  Meshes with more nodes than int32 can index are rejected.
     ``level`` is set by the structured generators and ``None`` for meshes
     assembled by hand (test fixtures, imported geometries).
     """
 
     nodes: npt.NDArray[np.float64]
-    elements: npt.NDArray[np.int64]
+    elements: npt.NDArray[np.int32]
     boundary_nodes: npt.NDArray[np.int64]
     level: int | None = None
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.float64))
-        elements = np.asfortranarray(np.asarray(self.elements, dtype=np.int64))
+        nodes = np.asarray(self.nodes, dtype=np.float64)
+        elements = np.asarray(self.elements)
         boundary = np.asarray(self.boundary_nodes, dtype=np.int64)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError(f"nodes must have shape (n_n, 2), got {nodes.shape}")
+        if len(nodes) > INDEX_MAX:
+            raise ValueError(f"{len(nodes)} nodes exceed the int32 index range")
+        nodes = np.ascontiguousarray(nodes)
         if elements.ndim != 2 or elements.shape[1] != 3:
             raise ValueError(f"elements must have shape (n_e, 3), got {elements.shape}")
+        # range-checked before the cast, which would wrap larger values
         if elements.size and (elements.min() < 0 or elements.max() >= len(nodes)):
             raise ValueError("element connectivity references nonexistent nodes")
+        elements = np.ascontiguousarray(elements, dtype=np.int32)
         if np.any(signed_areas(nodes, elements) <= 0.0):
             raise ValueError("all elements must be counterclockwise with positive area")
         if boundary.size and (boundary.min() < 0 or boundary.max() >= len(nodes)):
@@ -74,9 +94,14 @@ class IndexArrays:
     """Gather/scatter index array replacing explicit connectivity matrices.
 
     ``indt`` has shape (3, n_e); column e holds the global indices of
-    element e's nodes, each below ``n_nodes``.  It gathers global nodal
-    values into element-local vectors (``x[indt]``) and scatters local
-    contributions back.
+    element e's nodes, each below ``n_nodes``.  It is int32 and the
+    transpose of a C-contiguous (n_e, 3) array, normally ``Mesh.elements``
+    itself, so ``columns`` (= ``indt.T.ravel()``) is a view of it too.
+
+    The element operator is, for each local row i, a CSR matrix with one
+    row per element: row e holds element e's three entries ``A_e[i, :, e]``
+    at the columns ``columns[3e:3e+3]``, with the row pointer ``indptr``
+    (0, 3, 6, ...).  It holds element rows, not assembled ones.
 
     ``scatter_matrix`` is the scatter precomputed from ``indt`` alone, the
     counterpart of MATLAB's ``accumarray``: a 0/1 CSR matrix of shape
@@ -85,18 +110,28 @@ class IndexArrays:
     values.
     """
 
-    indt: npt.NDArray[np.int64]
+    indt: npt.NDArray[np.int32]
     n_nodes: int
+    indptr: npt.NDArray[np.int32] = field(init=False, repr=False, compare=False)
     scatter_matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        indt = np.ascontiguousarray(self.indt, dtype=np.int64)
+        indt = np.asarray(self.indt)
         if indt.ndim != 2 or indt.shape[0] != 3:
             raise ValueError(f"indt must have shape (3, n_e), got {indt.shape}")
         if indt.size and (indt.min() < 0 or indt.max() >= self.n_nodes):
             raise ValueError(f"indt references nodes outside 0..{self.n_nodes - 1}")
+        if self.n_nodes > INDEX_MAX or indt.size > INDEX_MAX:
+            raise ValueError(f"{self.n_nodes} nodes and {indt.shape[1]} elements "
+                             "exceed the int32 index range")
+        # no copy when indt already is the transposed int32 connectivity
+        indt = np.ascontiguousarray(indt.T, dtype=np.int32).T
         indt.setflags(write=False)
         object.__setattr__(self, "indt", indt)
+        n_e = indt.shape[1]
+        indptr = np.arange(0, 3 * n_e + 1, 3, dtype=np.int32)
+        indptr.setflags(write=False)
+        object.__setattr__(self, "indptr", indptr)
         flat = indt.ravel()
         # COO -> CSR is a counting sort, so each row keeps its positions in
         # ascending order; int32 positions spare scipy an int64 -> int32 copy
@@ -104,6 +139,11 @@ class IndexArrays:
         S = sp.csr_matrix((np.ones(flat.size), (flat, positions)),
                           shape=(self.n_nodes, flat.size))
         object.__setattr__(self, "scatter_matrix", S)
+
+    @property
+    def columns(self) -> npt.NDArray[np.int32]:
+        """Element e's nodes at positions 3e..3e+2: a view of the connectivity."""
+        return self.indt.T.reshape(-1)
 
     def scatter(self, local: np.ndarray) -> npt.NDArray[np.float64]:
         """Sum the (3, n_e) local contributions into a global vector of length n_nodes.
@@ -119,13 +159,26 @@ class IndexArrays:
         return self.scatter_matrix @ np.ravel(local)
 
 
+def corner_blocks(elements: np.ndarray):
+    """Yield (slice, corners) over consecutive blocks of ``GATHER_BLOCK`` elements.
+
+    ``corners`` is the block's (3, B) intp copy of ``elements[slice].T``:
+    row j holds the blocks' j-th nodes, ready for 1-D gathers.
+    """
+    for lo in range(0, len(elements), GATHER_BLOCK):
+        blk = slice(lo, lo + GATHER_BLOCK)
+        yield blk, elements[blk].T.astype(np.intp)
+
+
 def signed_areas(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Signed area of every triangle (positive for counterclockwise)."""
     # one 1-D gather per corner and coordinate, no (n_e, 3, 2) temporary
     x, y = nodes.T
-    a, b, c = elements.T
-    xa, ya = x[a], y[a]
-    return 0.5 * ((x[b] - xa) * (y[c] - ya) - (y[b] - ya) * (x[c] - xa))
+    areas = np.empty(len(elements))
+    for blk, (a, b, c) in corner_blocks(elements):
+        xa, ya = x[a], y[a]
+        areas[blk] = 0.5 * ((x[b] - xa) * (y[c] - ya) - (y[b] - ya) * (x[c] - xa))
+    return areas
 
 
 def build_grid_mesh(n: int) -> Mesh:
@@ -142,8 +195,8 @@ def build_grid_mesh(n: int) -> Mesh:
 
     ix, iy = np.meshgrid(np.arange(n - 1), np.arange(n - 1))
     ll = (iy * n + ix).ravel()
-    # written straight into the element-contiguous layout Mesh stores
-    elements = np.empty((3, 2 * len(ll)), dtype=np.int64).T
+    # written straight into the int32 layout Mesh stores
+    elements = np.empty((2 * len(ll), 3), dtype=np.int32)
     elements[0::2] = np.column_stack([ll, ll + 1, ll + n + 1])
     elements[1::2] = np.column_stack([ll, ll + n + 1, ll + n])
 

@@ -53,6 +53,7 @@ def solve_reference(
     """
     A = A.tocsr()
     n = A.shape[0]
+    d.check_nodes(n)
     x = np.zeros(n)
     x[d.nd] = d.values
     free = np.setdiff1d(np.arange(n), d.nd)

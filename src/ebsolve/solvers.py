@@ -63,13 +63,24 @@ class ConvergenceHistory:
     residual_norms[k] is ||r^k||_2 for k = 0..iters (one entry more than the
     number of steps, since the residual after the final update is recorded
     too).  error_norms tracks ||x^k - reference||_2 when a reference
-    solution was supplied.
+    solution was supplied.  stop_reason says why the loop ended: "tol"
+    when the last residual norm met the relative tolerance, "diverged"
+    when the iterate or its residual turned non-finite, otherwise
+    "budget" (the step count ran out).
     """
 
     residual_norms: npt.NDArray[np.float64]
     error_norms: npt.NDArray[np.float64] | None
     wall_time: float
-    diverged: bool = False
+    stop_reason: str = "budget"
+
+    def __post_init__(self):
+        if self.stop_reason not in ("budget", "tol", "diverged"):
+            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason == "diverged"
 
 
 def chebyshev_roots(bounds: SpectralBounds, N: int) -> npt.NDArray[np.float64]:
@@ -108,6 +119,7 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
     """Shared solver loop; ``advance(k, x, r) -> new x`` defines the method."""
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
+    dirichlet.check_nodes(batch.index.n_nodes)
     x = np.array(x0, dtype=np.float64, copy=True)
     errors = [] if reference is not None else None
     diverged = False
@@ -143,11 +155,17 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
                 diverged = True
                 break
 
+    if diverged:
+        stop_reason = "diverged"
+    elif tol is not None and norms[-1] <= tol * norms[0]:
+        stop_reason = "tol"
+    else:
+        stop_reason = "budget"
     history = ConvergenceHistory(
         residual_norms=np.array(norms),
         error_norms=None if errors is None else np.array(errors),
         wall_time=time.perf_counter() - t0,
-        diverged=diverged,
+        stop_reason=stop_reason,
     )
     return x, history
 

@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import perturbed_mesh
 
+from ebsolve import elements, mesh
 from ebsolve import (
     ElementBatch,
     Mesh,
@@ -104,9 +109,11 @@ def test_load_matches_mean_centroid_reference():
     f = lambda x, y: np.sin(7.0 * x) * np.exp(y)
     centroids = m.nodes[m.elements].mean(axis=1)
     ref = f(centroids[:, 0], centroids[:, 1]) * signed_areas(m.nodes, m.elements) / 3.0
-    b = build_element_batch(m, f=f).b_e
-    for j in range(3):
-        assert b[j].tobytes() == ref.tobytes()
+    for block in (7, mesh.GATHER_BLOCK):
+        with mock.patch.object(mesh, "GATHER_BLOCK", block):
+            b = build_element_batch(m, f=f).b_e
+        for j in range(3):
+            assert b[j].tobytes() == ref.tobytes()
 
 
 def test_load_scalar_broadcast():
@@ -157,13 +164,19 @@ def test_batch_layout_keeps_only_A_e(nu):
     batch = build_element_batch(m, nu=nu)
     K, M = local_stiffness_batch(m), local_mass_batch(m)
     assert batch.A_e.shape == (3, 3, m.n_elements)
-    assert batch.A_e.flags.c_contiguous
+    # stored as the C-contiguous (3, n_e, 3) array the residual streams
+    store = batch.A_e.transpose(0, 2, 1)
+    assert store.flags.c_contiguous
     # bitwise, down to the sign of zero
     assert batch.A_e.tobytes() == (K + nu * M).tobytes()
     # K_e and M_e are not held beside A_e, and no mesh is kept to rebuild them
     stored = [name for name, value in vars(batch).items()
               if isinstance(value, np.ndarray) and value.shape == (3, 3, m.n_elements)]
     assert stored == ["A_e"]
+    owner = batch.A_e
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    assert np.shares_memory(owner, store) and owner.nbytes == store.nbytes
     assert not any(isinstance(value, Mesh) for value in vars(batch).values())
 
 
@@ -188,3 +201,20 @@ def test_build_element_batch_defaults():
     # default source is f = 1
     npt.assert_array_equal(batch.b_e,
                            build_element_batch(m, f=lambda x, y: np.ones_like(x)).b_e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(level=st.integers(2, 4), amp=st.floats(0.0, 0.1), nu=st.floats(0.0, 100.0),
+       block=st.sampled_from([1, 7, 64, elements._BUILD_BLOCK]),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_A_e_matches_full_width_einsum_bitwise(level, amp, nu, block, seed):
+    m = perturbed_mesh(level, amp, seed)
+    areas, grads = elements._triangle_geometry(m)
+    ref = np.einsum("kie,kje->ije", grads, grads) * areas
+    if nu > 0:
+        ref += nu * ((np.ones((3, 3)) + np.eye(3))[:, :, None] / 12.0 * areas)
+    with mock.patch.object(elements, "_BUILD_BLOCK", block), \
+            mock.patch.object(mesh, "GATHER_BLOCK", block):
+        A_e = build_element_batch(m, nu=nu).A_e
+    assert A_e.transpose(0, 2, 1).flags.c_contiguous
+    assert A_e.tobytes() == ref.tobytes()

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +16,7 @@ from ebsolve import (
     build_unit_square_mesh,
     uniform_refine,
 )
+from ebsolve import mesh
 from ebsolve.mesh import MAX_LEVEL, signed_areas
 
 
@@ -64,11 +67,13 @@ def stacked_signed_areas(nodes, elements):
 
 @settings(max_examples=30, deadline=None)
 @given(level=st.integers(2, 4), amp=st.floats(0.0, 0.1),
+       block=st.sampled_from([1, 7, 64, mesh.GATHER_BLOCK]),
        seed=st.integers(0, 2**32 - 1))
-def test_signed_areas_match_stacked_gather_bitwise(level, amp, seed):
+def test_signed_areas_match_stacked_gather_bitwise(level, amp, block, seed):
     m = perturbed_mesh(level, amp, seed)
     ref = stacked_signed_areas(m.nodes, m.elements)
-    assert signed_areas(m.nodes, m.elements).tobytes() == ref.tobytes()
+    with mock.patch.object(mesh, "GATHER_BLOCK", block):
+        assert signed_areas(m.nodes, m.elements).tobytes() == ref.tobytes()
 
 
 def test_signed_areas_comparison_detects_reassociation():
@@ -179,15 +184,44 @@ def test_index_arrays():
     for n in range(m.n_nodes):
         npt.assert_array_equal(S.indices[S.indptr[n]:S.indptr[n + 1]],
                                np.flatnonzero(flat == n))
-    # indt is the mesh's connectivity, not a copy of it, whatever the mesh's
-    # origin: the generator, refinement, or a C-ordered array given by hand
-    by_hand = np.ascontiguousarray(m.elements)
-    assert by_hand.flags.c_contiguous and not by_hand.flags.f_contiguous
-    for mesh in (m, uniform_refine(m), Mesh(m.nodes, by_hand, m.boundary_nodes)):
-        idx = build_index_arrays(mesh)
-        assert np.shares_memory(idx.indt, mesh.elements)
-        assert idx.indt.flags.c_contiguous
-        npt.assert_array_equal(idx.indt, mesh.elements.T)
+    # indt is the mesh's int32 connectivity, not a copy of it, whatever the
+    # mesh's origin: the generator, refinement, or an int64 array in either
+    # order given by hand
+    by_hand = [np.ascontiguousarray(m.elements, dtype=np.int64),
+               np.asfortranarray(m.elements, dtype=np.int64)]
+    assert not by_hand[1].flags.c_contiguous
+    meshes = [m, uniform_refine(m)] + [Mesh(m.nodes, e, m.boundary_nodes) for e in by_hand]
+    for case in meshes:
+        idx = build_index_arrays(case)
+        assert idx.indt.dtype == np.int32
+        assert np.shares_memory(idx.indt, case.elements)
+        assert idx.indt.T.flags.c_contiguous
+        npt.assert_array_equal(idx.indt, case.elements.T)
+
+
+def test_connectivity_is_held_once_as_int32():
+    for m in (build_unit_square_mesh(3), uniform_refine(build_unit_square_mesh(2))):
+        assert m.elements.dtype == np.int32
+        assert m.elements.flags.c_contiguous
+        idx = build_index_arrays(m)
+        # the element operator's column array is the connectivity itself
+        assert idx.columns.shape == (3 * m.n_elements,)
+        assert np.shares_memory(idx.columns, m.elements)
+        npt.assert_array_equal(idx.columns, m.elements.ravel())
+        npt.assert_array_equal(idx.indptr, np.arange(0, 3 * m.n_elements + 1, 3))
+        assert idx.indptr.dtype == np.int32
+    # the range is checked before the cast, which would wrap node 2**32 to 0
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="nonexistent"):
+        Mesh(nodes, np.array([[2**32, 1, 2]]), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="outside"):
+        IndexArrays(np.array([[2**32], [1], [2]]), 3)
+    # node counts beyond int32 are rejected before anything is allocated
+    too_many = np.broadcast_to(np.zeros(2), (2**31, 2))
+    with pytest.raises(ValueError, match="int32"):
+        Mesh(too_many, np.array([[0, 1, 2]]), np.array([0]))
+    with pytest.raises(ValueError, match="int32"):
+        IndexArrays(np.array([[0], [1], [2]]), 2**31)
 
 
 def test_index_arrays_validation():

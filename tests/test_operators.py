@@ -1,10 +1,13 @@
-from unittest import mock
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse._sparsetools import csr_matvec
+import scipy.sparse as sp
 
 from conftest import make_problem, perturbed_mesh
 
@@ -101,9 +104,14 @@ def test_residual_matches_oracle_on_perturbed_mesh(level, amp, nu, seed):
 
 
 def bincount_residual(batch, x):
-    """Reference residual: one full-width local product, one np.bincount."""
+    """Reference residual: one full-width local product, one np.bincount.
+
+    The einsum runs on a C-contiguous copy of A_e: there it sums each row
+    left to right, as the residual's CSR loop does.  On the strided A_e
+    view it regroups the sum and differs in the last bit.
+    """
     indt = batch.index.indt
-    local = batch.b_e - np.einsum("ije,je->ie", batch.A_e, x[indt])
+    local = batch.b_e - np.einsum("ije,je->ie", np.ascontiguousarray(batch.A_e), x[indt])
     return np.bincount(indt.ravel(), weights=local.ravel(), minlength=x.shape[0])
 
 
@@ -119,13 +127,12 @@ def with_unreferenced_node(m, first):
 @given(kind=st.sampled_from(["perturbed", "grid100", "unreferenced-first",
                              "unreferenced-last"]),
        level=st.integers(2, 4), nu=st.floats(0.0, 100.0),
-       block=st.sampled_from([1, 7, 64, operators.BLOCK]),
        seed=st.integers(0, 2**32 - 1))
-def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, block, seed):
+def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, seed):
     if kind == "perturbed":
         m = perturbed_mesh(level, 0.1, seed)
     elif kind == "grid100":
-        m = build_grid_mesh(100)  # 19602 elements, not a multiple of BLOCK
+        m = build_grid_mesh(100)  # 19602 elements, 9999 nodes: uneven chunks
     else:
         m = with_unreferenced_node(build_unit_square_mesh(level),
                                    first=kind == "unreferenced-first")
@@ -133,12 +140,84 @@ def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, block, seed):
         m, nu=nu, f=lambda x, y: np.sin(7.0 * x) + y * y)
     x = np.random.default_rng(seed).standard_normal(m.n_nodes)
     ref = bincount_residual(batch, x)
-    with mock.patch.object(operators, "BLOCK", block):
-        for threads in (1, 2, 3):
-            assert residual(batch, x, threads=threads).tobytes() == ref.tobytes()
+    for threads in (1, 2, 3, 4, 8):
+        assert residual(batch, x, threads=threads).tobytes() == ref.tobytes()
     if kind.startswith("unreferenced"):
         lone = 0 if kind == "unreferenced-first" else m.n_nodes - 1
         assert ref[lone] == 0.0
+
+
+def test_residual_reuses_one_pool(monkeypatch):
+    m, batch, _, _ = make_problem(4)
+    x = np.random.default_rng(4).standard_normal(m.n_nodes)
+    built = []
+
+    class CountingPool(operators.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "ThreadPoolExecutor", CountingPool)
+    ref = residual(batch, x)
+    for _ in range(20):
+        assert residual(batch, x, threads=2).tobytes() == ref.tobytes()
+    assert len(built) <= 1
+
+
+def test_concurrent_residuals_share_the_pool():
+    # several callers at once on the shared pools, more threads than cores,
+    # with frequent switches: every result must still be bitwise serial
+    m, batch, _, _ = make_problem(5)
+    xs = [np.random.default_rng(s).standard_normal(m.n_nodes) for s in range(4)]
+    refs = [residual(batch, x).tobytes() for x in xs]
+    errors = []
+
+    def caller(k):
+        try:
+            for _ in range(10):
+                r = residual(batch, xs[k], threads=2 + k % 3)
+                if r.tobytes() != refs[k]:
+                    errors.append(k)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert errors == []
+
+
+def test_csr_matvec_contract():
+    # residual calls scipy's compiled CSR loop directly; pin what it relies on
+    rng = np.random.default_rng(11)
+    A = sp.random(40, 30, density=0.3, format="csr", rng=rng)
+    x = rng.standard_normal(30)
+    y0 = rng.standard_normal(40)
+    # it accumulates into y, the loop behind csr_matrix @ x
+    y = np.zeros(40)
+    csr_matvec(40, 30, A.indptr, A.indices, A.data, x, y)
+    assert y.tobytes() == (A @ x).tobytes()
+    y = y0.copy()
+    csr_matvec(40, 30, A.indptr, A.indices, A.data, x, y)
+    ref = y0.copy()
+    for row in range(40):
+        for k in range(A.indptr[row], A.indptr[row + 1]):
+            ref[row] += A.data[k] * x[A.indices[k]]
+    assert y.tobytes() == ref.tobytes()
+    # a row range is the slice indptr[a:b+1] of absolute offsets, written
+    # into y[a:b] only
+    y = np.zeros(40)
+    csr_matvec(25 - 10, 30, A.indptr[10:26], A.indices, A.data, x, y[10:25])
+    assert y[10:25].tobytes() == (A @ x)[10:25].tobytes()
+    assert not y[:10].any() and not y[25:].any()
 
 
 def test_residual_input_validation():
@@ -186,3 +265,11 @@ def test_dirichlet_data_sorted_and_validated():
         DirichletData(np.array([1, 1]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         DirichletData(np.array([1, 2]), np.array([0.0]))
+
+
+def test_dirichlet_data_rejects_negative_nodes():
+    # on an 81-node mesh, -1 would name node 80 a second time
+    with pytest.raises(ValueError, match="nonnegative"):
+        DirichletData(np.array([-1, 80]), np.array([5.0, 7.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        DirichletData(np.array([-1, 0]), np.array([5.0, 7.0]))

@@ -6,6 +6,7 @@ import ebsolve.reference
 from conftest import make_problem
 
 from ebsolve import (
+    DirichletData,
     assemble_rhs,
     assemble_sparse,
     dense_interior_eigenvalues,
@@ -122,3 +123,13 @@ def test_dense_eigenvalues_size_guard():
     A = assemble_sparse(local_stiffness_batch(m), batch.index.indt)
     with pytest.raises(ValueError):
         dense_interior_eigenvalues(A, d)
+
+
+def test_solve_reference_rejects_nodes_beyond_the_mesh():
+    m, batch, _, b = make_problem(3)
+    assert m.n_nodes == 81
+    A = assemble_sparse(batch.A_e, batch.index.indt)
+    for nd in ([999], [0, 81]):
+        d = DirichletData(np.array(nd), np.ones(len(nd)))
+        with pytest.raises(ValueError, match="81 nodes"):
+            solve_reference(A, b, d)

@@ -292,6 +292,38 @@ def test_divergence_sets_flag():
         assert len(hist.residual_norms) <= 301
 
 
+def test_stop_reason():
+    m, batch, d, _ = make_problem(3)
+    x0 = np.ones(m.n_nodes)
+    bounds = model_eigen_bounds(9)
+    _, hist = chebyshev3(batch, d, x0, bounds, 20)
+    assert hist.stop_reason == "budget" and len(hist.residual_norms) == 21
+    _, hist = chebyshev3(batch, d, x0, bounds, 500, tol=1e-6)
+    assert hist.stop_reason == "tol" and len(hist.residual_norms) < 501
+    # a tolerance that the budget does not reach is still a budget stop
+    _, hist = chebyshev3(batch, d, x0, bounds, 5, tol=1e-6)
+    assert hist.stop_reason == "budget" and len(hist.residual_norms) == 6
+    # bounds pulled inside the spectrum [0.30, 7.70]: the modes outside
+    # them grow without limit
+    _, hist = chebyshev3(batch, d, x0, SpectralBounds(2.0, 3.0), 5000)
+    assert hist.stop_reason == "diverged" and hist.diverged
+    assert len(hist.residual_norms) < 5001
+    with pytest.raises(ValueError, match="stop reason"):
+        type(hist)(hist.residual_norms, None, 0.0, stop_reason="converged")
+
+
+def test_solvers_reject_nodes_beyond_the_mesh():
+    m, batch, _, _ = make_problem(3)
+    assert m.n_nodes == 81
+    x0 = np.ones(m.n_nodes)
+    bounds = model_eigen_bounds(9)
+    for nd in ([999], [0, 81]):
+        d = DirichletData(np.array(nd), np.ones(len(nd)))
+        for solver, extra in ((richardson, ()), (chebyshev2, (4,)), (chebyshev3, ())):
+            with pytest.raises(ValueError, match="81 nodes"):
+                solver(batch, d, x0, bounds, *extra, 3)
+
+
 def test_cheb3_needs_spectral_gap():
     m, batch, d, _ = make_problem(2)
     with pytest.raises(ValueError):
