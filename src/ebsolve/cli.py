@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .elements import ElementBatch, build_element_batch
-from .mesh import MAX_LEVEL, Mesh, build_unit_square_mesh
+from .mesh import MAX_LEVEL, MAX_THREADS, Mesh, build_unit_square_mesh
 from .operators import assemble_rhs, constant_dirichlet
 from .reference import assemble_sparse, solve_reference
 from .solvers import ConvergenceHistory, chebyshev2, chebyshev3, richardson
@@ -83,8 +83,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"--nu must be finite and nonnegative (got {cfg.nu})")
     if cfg.cycle_n < 1:
         problems.append(f"--cycle-n must be at least 1 (got {cfg.cycle_n})")
-    if cfg.threads < 1:
-        problems.append(f"--threads must be at least 1 (got {cfg.threads})")
+    if not 1 <= cfg.threads <= MAX_THREADS:
+        problems.append(f"--threads must be between 1 and {MAX_THREADS} (got {cfg.threads})")
     if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol > 0):
         problems.append(f"--tol must be finite and positive (got {cfg.tol})")
     if cfg.solver not in SOLVER_CHOICES:
@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=defaults.tol,
                    help="optional early stop at ||r^k|| <= tol*||r^0||")
     p.add_argument("--threads", type=int, default=defaults.threads,
-                   help="worker threads for the residual kernel (default %(default)s)")
+                   help=f"worker threads for the residual kernel, at most {MAX_THREADS} "
+                        "(default %(default)s)")
     p.add_argument("--out-dir", default=defaults.out_dir,
                    help="directory for history/solution exports")
     p.add_argument("--export-vtk", action="store_true", default=defaults.export_vtk,

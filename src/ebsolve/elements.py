@@ -1,13 +1,15 @@
 """Batched P1 element matrices.
 
-All local quantities are computed for every element at once and indexed
-as 3-index arrays of shape (n_b, n_b, n_e) with n_b = 3.  The batch's A_e
-is stored C-contiguous as (3, n_e, 3) and exposed as its (3, 3, n_e)
-transposed view: for each local row i, the n_e triples A_e[i, :, e] lie one
-after another, which is the data array of that row's element CSR matrix
-(see ``IndexArrays``), so the residual kernel streams A_e once, in order.
-The reference builders ``local_stiffness_batch`` and ``local_mass_batch``
-return plain C-contiguous (3, 3, n_e) arrays.
+Local quantities are indexed as 3-index arrays of shape (n_b, n_b, n_e)
+with n_b = 3, and ``build_element_batch`` computes all of them in one pass
+over blocks of ``mesh.GATHER_BLOCK`` elements, a few array operations per
+block.  The batch's A_e is stored C-contiguous as (3, n_e, 3) and exposed
+as its (3, 3, n_e) transposed view: for each local row i, the n_e triples
+A_e[i, :, e] lie one after another, which is the data array of that row's
+element CSR matrix (see ``IndexArrays``), so the residual kernel streams
+A_e once, in order.  ``local_stiffness_batch`` and ``local_mass_batch`` are
+thin wrappers over that pass and return plain C-contiguous (3, 3, n_e)
+arrays.
 """
 
 from __future__ import annotations
@@ -20,11 +22,6 @@ import numpy.typing as npt
 from .mesh import IndexArrays, Mesh, build_index_arrays, corner_blocks
 
 EPS_AREA = 1e-14
-
-# Elements per block of the A_e build: the (3, 3, B) scratch the einsum
-# writes (~1.2 MB) is still cached when the transposed copy reads it.
-# Level 10: 147 ms, against 142 ms for one full-width einsum.
-_BUILD_BLOCK = 16384
 
 # exact P1 mass pattern: M_e = area/12 * (ones + eye)
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -69,24 +66,23 @@ class ElementBatch:
         return self.index.indt.shape[1]
 
 
-def _triangle_geometry(m: Mesh):
-    """Element areas and P1 basis gradients.
+def _geometry(x, y, lo: int):
+    """Areas and P1 basis gradients of one block of elements.
 
-    Returns (areas, grads) with grads of shape (2, 3, n_e), C-contiguous:
-    grads[:, j, e] is the constant gradient of the basis function attached
-    to local node j of element e.
+    ``x[j]``, ``y[j]`` hold the coordinates of the block's j-th corners and
+    ``lo`` is the global index of its first element.  A degenerate element
+    is rejected, by global index, before any gradient is formed.  Returns
+    (areas, grads) with grads of shape (2, 3, B), C-contiguous: grads[:, j, e]
+    is the constant gradient of the basis function attached to local node j.
     """
-    x, y = np.empty((2, 3, m.n_elements))  # x[j, e]: x of element e's node j
-    for blk, corners in corner_blocks(m.elements):
-        x[:, blk], y[:, blk] = m.nodes.T[:, corners]
     det = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])  # 2*area
     areas = 0.5 * det
     if np.any(areas <= EPS_AREA):
         worst = int(np.argmin(areas))
         raise ValueError(
-            f"degenerate element {worst}: area {areas[worst]:.3e} <= {EPS_AREA}"
+            f"degenerate element {lo + worst}: area {areas[worst]:.3e} <= {EPS_AREA}"
         )
-    grads = np.empty((2, 3, m.n_elements))
+    grads = np.empty((2, 3, len(det)))
     for j in range(3):
         jn, jp = (j + 1) % 3, (j + 2) % 3
         np.divide(y[jn] - y[jp], det, out=grads[0, j])
@@ -94,86 +90,67 @@ def _triangle_geometry(m: Mesh):
     return areas, grads
 
 
-def _stiffness(areas, grads) -> npt.NDArray[np.float64]:
-    k = np.einsum("kie,kje->ije", grads, grads)
-    k *= areas
-    return k
-
-
 def _mass(areas) -> npt.NDArray[np.float64]:
     return _MASS_PATTERN[:, :, None] * areas
-
-
-def local_stiffness_batch(m: Mesh) -> npt.NDArray[np.float64]:
-    """K_e slices: area * G^T G with G the 2x3 gradient matrix (exact for P1)."""
-    return _stiffness(*_triangle_geometry(m))
-
-
-def local_mass_batch(m: Mesh) -> npt.NDArray[np.float64]:
-    """M_e slices: area/12 * [[2,1,1],[1,2,1],[1,1,2]] (exact for P1)."""
-    areas, _ = _triangle_geometry(m)
-    return _mass(areas)
-
-
-def _load(m: Mesh, areas, f) -> npt.NDArray[np.float64]:
-    # allocated before the temporaries below: freed after it, they leave no
-    # hole under a live array that the allocator would have to keep mapped
-    # (~20 MB of peak RSS at level 10)
-    load = np.empty(m.n_elements)
-    # one 1-D gather per corner and coordinate, summed left to right and
-    # divided by 3: the arithmetic of nodes[elements].mean(axis=1) without
-    # its (n_e, 3, 2) temporary and slow strided reduction
-    cx, cy = centroids = np.empty((2, m.n_elements))
-    for blk, (a, b, c) in corner_blocks(m.elements):
-        for coord, out in zip(m.nodes.T, centroids):
-            out[blk] = (coord[a] + coord[b] + coord[c]) / 3.0
-    vals = np.asarray(f(cx, cy), dtype=np.float64)
-    vals = np.broadcast_to(vals, (m.n_elements,))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("source function returned non-finite values")
-    np.multiply(vals, areas, out=load)
-    load /= 3.0
-    return np.broadcast_to(load, (3, m.n_elements))
-
-
-def _element_matrices(areas, grads, nu) -> npt.NDArray[np.float64]:
-    """A_e = K_e + nu*M_e as the (3, 3, n_e) view of a C-contiguous (3, n_e, 3) store.
-
-    Built in element blocks: a C-contiguous einsum into a (3, 3, B) scratch,
-    then a transposed copy.  Every entry is computed by itself, so the
-    result is bitwise that of the full-width ``_stiffness`` and ``_mass``.
-    """
-    n_e = areas.size
-    store = np.empty((3, n_e, 3))
-    for lo in range(0, n_e, _BUILD_BLOCK):
-        blk = slice(lo, min(lo + _BUILD_BLOCK, n_e))
-        a = areas[blk]
-        k = _stiffness(a, grads[:, :, blk])
-        if nu > 0:
-            k += nu * _mass(a)
-        store[:, blk].transpose(0, 2, 1)[...] = k
-    return store.transpose(0, 2, 1)
 
 
 def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
     """Assemble the full batch for a mesh (default source f = 1).
 
-    The triangle geometry is computed once and A_e is written block by block
-    into its storage layout, with the same arithmetic as
-    ``local_stiffness_batch(m) + nu * local_mass_batch(m)``.
-    b_e[j] = f(centroid)*area/3 by one-point quadrature; a scalar f is broadcast.
+    One pass over blocks of ``mesh.GATHER_BLOCK`` elements: each block's
+    corners are gathered once, then give its areas and gradients, its
+    A_e = area * G^T G + nu * M_e, written into the storage layout, and its
+    load b_e[j] = f(centroid)*area/3 by one-point quadrature.  ``f`` is
+    evaluated pointwise, one block of centroids per call; a scalar f is
+    broadcast.  The index arrays are built first, while only the mesh is
+    resident, and no full-width temporary is formed.
     """
     if not (np.isfinite(nu) and nu >= 0):
         raise ValueError(f"nu must be finite and nonnegative, got {nu}")
     if f is None:
         f = lambda x, y: np.ones_like(x)
-    areas, grads = _triangle_geometry(m)
-    A_e = _element_matrices(areas, grads, nu)
-    del grads  # free before the load temporaries are allocated
+    index = build_index_arrays(m)
+    n_e = m.n_elements
+    store = np.empty((3, n_e, 3))
+    areas = np.empty(n_e)
+    load = np.empty(n_e)
+    for blk, corners in corner_blocks(m.elements):
+        x, y = m.nodes.T[:, corners]  # x[j, e]: x of the block's element e's node j
+        a, grads = _geometry(x, y, blk.start)
+        k = np.einsum("kie,kje->ije", grads, grads)
+        k *= a
+        if nu > 0:
+            k += nu * _mass(a)
+        store[:, blk].transpose(0, 2, 1)[...] = k
+        areas[blk] = a
+        # centroids summed corner by corner and divided by 3: the arithmetic
+        # of nodes[elements].mean(axis=1)
+        vals = f((x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0)
+        vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), a.shape)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("source function returned non-finite values")
+        load[blk] = vals * a / 3.0
     return ElementBatch(
-        A_e=A_e,
-        b_e=_load(m, areas, f),
+        A_e=store.transpose(0, 2, 1),
+        b_e=np.broadcast_to(load, (3, n_e)),
         areas=areas,
         nu=float(nu),
-        index=build_index_arrays(m),
+        index=index,
     )
+
+
+def local_stiffness_batch(m: Mesh) -> npt.NDArray[np.float64]:
+    """K_e slices: area * G^T G with G the 2x3 gradient matrix (exact for P1).
+
+    The A_e of ``build_element_batch(m)`` (nu = 0), so both share one
+    geometry code path.
+    """
+    return np.ascontiguousarray(build_element_batch(m).A_e)
+
+
+def local_mass_batch(m: Mesh) -> npt.NDArray[np.float64]:
+    """M_e slices: area/12 * [[2,1,1],[1,2,1],[1,1,2]] (exact for P1).
+
+    Built from the areas of ``build_element_batch(m)``.
+    """
+    return _mass(build_element_batch(m).areas)

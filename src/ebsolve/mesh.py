@@ -25,16 +25,35 @@ import scipy.sparse as sp
 # (level 12 already means ~33.5M triangles).
 MAX_LEVEL = 12
 
+# The residual starts one pool thread per extra thread and is memory-bound,
+# so counts far above a machine's cores only add threads; this ceiling
+# keeps a mistyped --threads from starting thousands of them.
+MAX_THREADS = 64
+
 _BOUNDARY_TOL = 1e-12
 
 # connectivity, row pointers and scatter positions are int32
 INDEX_MAX = np.iinfo(np.int32).max
 
-# Elements per block when node data is gathered through the connectivity.
-# numpy converts an int32 index to intp before it gathers; a block's copy
-# stays in cache.  Level 10, signed_areas: 45 ms, against 99 ms for
-# full-width int32 gathers and 56 ms for full-width int64 ones.
+# Elements per block, the one block size of every element-wise set-up pass
+# (``signed_areas`` and ``build_element_batch``).  numpy converts an int32
+# index to intp before it gathers, and a block's corners, geometry and
+# (3, 3, B) einsum scratch (~1.2 MB) stay in cache.  Level 10: signed_areas
+# 45 ms, against 99 ms for full-width int32 gathers and 56 ms for
+# full-width int64 ones; the whole batch build ~0.5 s, against ~0.9 s for
+# full-width geometry.
 GATHER_BLOCK = 16384
+
+
+def as_index_array(values, name: str) -> np.ndarray:
+    """``values`` as an integer array; any other dtype is rejected, not truncated.
+
+    An empty sequence is let through: ``np.asarray([])`` is float64.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise ValueError(f"{name} must hold integer node indices, got dtype {arr.dtype}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -57,8 +76,9 @@ class Mesh:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64)
-        elements = np.asarray(self.elements)
-        boundary = np.asarray(self.boundary_nodes, dtype=np.int64)
+        elements = as_index_array(self.elements, "elements")
+        boundary = as_index_array(self.boundary_nodes, "boundary_nodes")
+        boundary = boundary.astype(np.int64, copy=False)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError(f"nodes must have shape (n_n, 2), got {nodes.shape}")
         if len(nodes) > INDEX_MAX:
@@ -116,7 +136,7 @@ class IndexArrays:
     scatter_matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        indt = np.asarray(self.indt)
+        indt = as_index_array(self.indt, "indt")
         if indt.ndim != 2 or indt.shape[0] != 3:
             raise ValueError(f"indt must have shape (3, n_e), got {indt.shape}")
         if indt.size and (indt.min() < 0 or indt.max() >= self.n_nodes):

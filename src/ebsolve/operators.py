@@ -32,7 +32,7 @@ import numpy.typing as npt
 from scipy.sparse._sparsetools import csr_matvec
 
 from .elements import ElementBatch
-from .mesh import Mesh
+from .mesh import Mesh, as_index_array
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class DirichletData:
     values: npt.NDArray[np.float64]
 
     def __post_init__(self):
-        nd = np.asarray(self.nd, dtype=np.int64)
+        nd = as_index_array(self.nd, "nd").astype(np.int64, copy=False)
         values = np.asarray(self.values, dtype=np.float64)
         if nd.ndim != 1 or values.shape != nd.shape:
             raise ValueError("nd and values must be 1-D arrays of equal length")

@@ -6,8 +6,10 @@ import numpy.testing as npt
 import pytest
 
 from ebsolve import SpectralBounds, build_unit_square_mesh
+from ebsolve.mesh import MAX_THREADS
 from ebsolve.cli import (
     ExperimentConfig,
+    _validate,
     build_parser,
     export_history,
     export_solution,
@@ -75,6 +77,16 @@ def test_main_rejects_bad_numerics(capsys):
     assert main(["--level", "2", "--tol", "0"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 5
+
+
+def test_main_rejects_too_many_threads(capsys):
+    # rejected before any mesh or thread pool exists
+    assert _validate(ExperimentConfig(threads=MAX_THREADS)) == []
+    assert _validate(ExperimentConfig(threads=MAX_THREADS + 1))
+    assert _validate(ExperimentConfig(threads=100_000))
+    assert main(["--level", "2", "--iters", "1", "--solver", "richardson",
+                 "--threads", "100000"]) == 2
+    assert f"between 1 and {MAX_THREADS}" in capsys.readouterr().err
 
 
 def test_main_rejects_nonfinite_numerics(capsys):

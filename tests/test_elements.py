@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import perturbed_mesh
 
-from ebsolve import elements, mesh
+from ebsolve import mesh
 from ebsolve import (
     ElementBatch,
     Mesh,
@@ -203,18 +204,61 @@ def test_build_element_batch_defaults():
                            build_element_batch(m, f=lambda x, y: np.ones_like(x)).b_e)
 
 
+def full_width_batch(m, nu, f):
+    """Reference: A_e, b_e and areas from one full-width corner gather."""
+    p = m.nodes[m.elements]  # (n_e, 3, 2)
+    x, y = p[:, :, 0].T, p[:, :, 1].T
+    det = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
+    areas = 0.5 * det
+    grads = np.empty((2, 3, m.n_elements))
+    for j in range(3):
+        jn, jp = (j + 1) % 3, (j + 2) % 3
+        grads[0, j] = (y[jn] - y[jp]) / det
+        grads[1, j] = (x[jp] - x[jn]) / det
+    A_e = np.einsum("kie,kje->ije", grads, grads) * areas
+    if nu > 0:
+        A_e += nu * ((np.ones((3, 3)) + np.eye(3))[:, :, None] / 12.0 * areas)
+    centroids = p.mean(axis=1)
+    load = f(centroids[:, 0], centroids[:, 1]) * areas / 3.0
+    return A_e, np.broadcast_to(load, (3, m.n_elements)), areas
+
+
 @settings(max_examples=30, deadline=None)
 @given(level=st.integers(2, 4), amp=st.floats(0.0, 0.1), nu=st.floats(0.0, 100.0),
-       block=st.sampled_from([1, 7, 64, elements._BUILD_BLOCK]),
+       block=st.sampled_from([1, 7, 64, 16384]),
        seed=st.integers(0, 2**32 - 1))
 def test_blocked_A_e_matches_full_width_einsum_bitwise(level, amp, nu, block, seed):
     m = perturbed_mesh(level, amp, seed)
-    areas, grads = elements._triangle_geometry(m)
-    ref = np.einsum("kie,kje->ije", grads, grads) * areas
-    if nu > 0:
-        ref += nu * ((np.ones((3, 3)) + np.eye(3))[:, :, None] / 12.0 * areas)
-    with mock.patch.object(elements, "_BUILD_BLOCK", block), \
-            mock.patch.object(mesh, "GATHER_BLOCK", block):
-        A_e = build_element_batch(m, nu=nu).A_e
-    assert A_e.transpose(0, 2, 1).flags.c_contiguous
-    assert A_e.tobytes() == ref.tobytes()
+    f = lambda x, y: np.sin(7.0 * x) * np.exp(y)
+    with mock.patch.object(mesh, "GATHER_BLOCK", block):
+        batch = build_element_batch(m, nu=nu, f=f)
+    assert batch.A_e.transpose(0, 2, 1).flags.c_contiguous
+    for got, want in zip((batch.A_e, batch.b_e, batch.areas), full_width_batch(m, nu, f)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 16384])
+def test_degenerate_element_named_by_global_index(block):
+    # a sliver on three extra nodes, inserted as element 100 of 129: in a
+    # later block than the first for every block size but the default
+    m = perturbed_mesh(3, 0.1, 5)
+    n = m.n_nodes
+    nodes = np.vstack([m.nodes, [[2.0, 2.0], [2.0 + 1e-8, 2.0], [2.0, 2.0 + 1e-8]]])
+    elements = np.insert(m.elements, 100, [n, n + 1, n + 2], axis=0)
+    sliver = Mesh(nodes, elements, m.boundary_nodes)
+    with mock.patch.object(mesh, "GATHER_BLOCK", block), \
+            pytest.raises(ValueError, match="degenerate element 100:"):
+        build_element_batch(sliver)
+
+
+def test_batch_build_forms_no_full_width_temporaries():
+    # full-width corner and gradient arrays beside A_e peaked at 1.37x
+    m = build_unit_square_mesh(9)
+    tracemalloc.start()
+    try:
+        batch = build_element_batch(m)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained >= batch.A_e.nbytes
+    assert peak <= 1.15 * retained

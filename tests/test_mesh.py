@@ -160,6 +160,23 @@ def test_mesh_validation():
         Mesh(nodes[:, :1], np.array([[0, 1, 2]]), np.array([0]))
 
 
+def test_non_integer_indices_are_rejected():
+    # floats were truncated: elements [0, 1.7, 2.2] named nodes 0, 1, 2
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="elements must hold integer"):
+        Mesh(nodes, [[0, 1.7, 2.2]], [0, 1, 2])
+    with pytest.raises(ValueError, match="elements must hold integer"):
+        Mesh(nodes, np.array([[0.0, 1.0, 2.0]]), [0, 1, 2])
+    with pytest.raises(ValueError, match="boundary_nodes must hold integer"):
+        Mesh(nodes, [[0, 1, 2]], [0.5, 1.7])
+    with pytest.raises(ValueError, match="indt must hold integer"):
+        IndexArrays([[0.0], [1.9], [2.0]], 3)
+    # any integer dtype still passes, and an empty boundary is no index at all
+    m = Mesh(nodes, np.array([[0, 1, 2]], dtype=np.uint8), [])
+    npt.assert_array_equal(m.elements, [[0, 1, 2]])
+    assert m.boundary_nodes.dtype == np.int64 and m.boundary_nodes.size == 0
+
+
 def test_mesh_arrays_read_only():
     m = build_unit_square_mesh(1)
     with pytest.raises(ValueError):

@@ -267,6 +267,13 @@ def test_dirichlet_data_sorted_and_validated():
         DirichletData(np.array([1, 2]), np.array([0.0]))
 
 
+def test_dirichlet_data_rejects_non_integer_nodes():
+    # floats were truncated: [0.5, 1.7] constrained nodes 0 and 1
+    with pytest.raises(ValueError, match="nd must hold integer"):
+        DirichletData([0.5, 1.7], [5.0, 7.0])
+    assert DirichletData([], []).nd.dtype == np.int64
+
+
 def test_dirichlet_data_rejects_negative_nodes():
     # on an 81-node mesh, -1 would name node 80 a second time
     with pytest.raises(ValueError, match="nonnegative"):
