@@ -47,13 +47,20 @@ class ExperimentConfig:
 
 @dataclass
 class SolverRun:
-    name: str
+    """One solver's result; the direct run has no history."""
+
     x: np.ndarray
     history: ConvergenceHistory | None
-    final_residual: float | None
     final_error: float | None
     wall_time: float
-    diverged: bool = False
+
+    @property
+    def final_residual(self) -> float | None:
+        return None if self.history is None else float(self.history.residual_norms[-1])
+
+    @property
+    def diverged(self) -> bool:
+        return self.history is not None and self.history.diverged
 
 
 @dataclass
@@ -153,22 +160,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         else:
             x, hist = chebyshev3(batch, dirichlet, x0, bounds, cfg.iters, **common)
         report.runs[name] = SolverRun(
-            name=name,
             x=x,
             history=hist,
-            final_residual=float(hist.residual_norms[-1]),
             final_error=(None if hist.error_norms is None
                          else float(hist.error_norms[-1])),
             wall_time=hist.wall_time,
-            diverged=hist.diverged,
         )
 
-    if cfg.solver in ("direct", "all") and reference is not None:
+    if cfg.solver in ("direct", "all"):
         report.runs["direct"] = SolverRun(
-            name="direct",
             x=reference,
             history=None,
-            final_residual=None,
             final_error=0.0 if cfg.compare_direct else None,
             wall_time=ref_time,
         )

@@ -11,6 +11,8 @@ Connectivity is held once, as int32 in C order (one node triple per row).
 The element operator reads it three ways without copying: ``elements.T`` is
 the (3, n_e) gather array ``indt``, ``elements.ravel()`` the column array of
 the per-row element CSR matrices, and the scatter matrix is built from it.
+``IndexArrays`` holds these structures only; the kernels that run on them,
+``operators.residual`` and ``operators.scatter``, live with the operator.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class IndexArrays:
     counterpart of MATLAB's ``accumarray``: a 0/1 CSR matrix of shape
     (n_nodes, 3*n_e) whose row n lists, in ascending order, the positions
     of node n in ``indt.ravel()``.  It holds connectivity only, no element
-    values.
+    values; ``operators.scatter`` sums with it.
     """
 
     indt: npt.NDArray[np.int32]
@@ -164,19 +166,6 @@ class IndexArrays:
     def columns(self) -> npt.NDArray[np.int32]:
         """Element e's nodes at positions 3e..3e+2: a view of the connectivity."""
         return self.indt.T.reshape(-1)
-
-    def scatter(self, local: np.ndarray) -> npt.NDArray[np.float64]:
-        """Sum the (3, n_e) local contributions into a global vector of length n_nodes.
-
-        Row n of the scatter matrix adds node n's contributions in the order
-        they appear in ``indt.ravel()``, the order ``np.bincount`` uses, so the
-        result is bitwise equal to
-        ``np.bincount(indt.ravel(), local.ravel(), minlength=n_nodes)``.
-        Nodes that no element references get 0.
-        """
-        if local.shape != self.indt.shape:
-            raise ValueError(f"shape mismatch: local {local.shape} vs indt {self.indt.shape}")
-        return self.scatter_matrix @ np.ravel(local)
 
 
 def corner_blocks(elements: np.ndarray):

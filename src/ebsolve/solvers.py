@@ -1,8 +1,9 @@
 """Richardson and Chebyshev iterations driven by the matrix-free residual.
 
-All three methods share one loop: compute the residual, zero it at the
-constrained nodes, advance the iterate, record norms.  They differ only in
-the step they take from the current residual:
+All three methods share one loop: at one site per step, the start included,
+compute the residual, zero it at the constrained nodes, record norms and
+test for a stop; then advance the iterate.  They differ only in the step
+they take from the current residual:
 
 * richardson      x += omega * r                  with omega = 2/(lam1+lam2)
 * chebyshev2      x += (1/alpha_{k mod N}) * r    cycling through the N roots
@@ -63,10 +64,10 @@ class ConvergenceHistory:
     residual_norms[k] is ||r^k||_2 for k = 0..iters (one entry more than the
     number of steps, since the residual after the final update is recorded
     too).  error_norms tracks ||x^k - reference||_2 when a reference
-    solution was supplied.  stop_reason says why the loop ended: "tol"
-    when the last residual norm met the relative tolerance, "diverged"
-    when the iterate or its residual turned non-finite, otherwise
-    "budget" (the step count ran out).
+    solution was supplied.  stop_reason says why the loop ended:
+    "diverged" when the iterate or its residual norm turned non-finite
+    (at step 0 too), "tol" when the last residual norm met the relative
+    tolerance, otherwise "budget" (the step count ran out).
     """
 
     residual_norms: npt.NDArray[np.float64]
@@ -121,46 +122,36 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
     dirichlet.check_nodes(batch.index.n_nodes)
     x = np.array(x0, dtype=np.float64, copy=True)
+    norms = []
     errors = [] if reference is not None else None
-    diverged = False
+    stop_reason = "budget"
     t0 = time.perf_counter()
 
-    r = mask_dirichlet(residual(batch, x, threads), dirichlet)
-    norms = [float(np.linalg.norm(r))]
-    if errors is not None:
-        errors.append(float(np.linalg.norm(x - reference)))
-    if callback is not None:
-        callback(0, x, r)
-
-    # a diverging iterate overflows before it turns non-finite; the checks
+    # a diverging iterate overflows before it turns non-finite; the tests
     # below record that as divergence, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(iters):
-            if tol is not None and norms[-1] <= tol * norms[0]:
-                break
-            x = advance(k, x, r)
-            if not np.all(np.isfinite(x)):
-                norms.append(float("inf"))
-                if errors is not None:
-                    errors.append(float("inf"))
-                diverged = True
-                break
+        for k in range(iters + 1):
+            if k > 0:
+                x = advance(k - 1, x, r)
+                if not np.all(np.isfinite(x)):
+                    norms.append(float("inf"))
+                    if errors is not None:
+                        errors.append(float("inf"))
+                    stop_reason = "diverged"
+                    break
             r = mask_dirichlet(residual(batch, x, threads), dirichlet)
             norms.append(float(np.linalg.norm(r)))
             if errors is not None:
                 errors.append(float(np.linalg.norm(x - reference)))
             if callback is not None:
-                callback(k + 1, x, r)
+                callback(k, x, r)
             if not np.isfinite(norms[-1]):
-                diverged = True
+                stop_reason = "diverged"
+                break
+            if tol is not None and norms[-1] <= tol * norms[0]:
+                stop_reason = "tol"
                 break
 
-    if diverged:
-        stop_reason = "diverged"
-    elif tol is not None and norms[-1] <= tol * norms[0]:
-        stop_reason = "tol"
-    else:
-        stop_reason = "budget"
     history = ConvergenceHistory(
         residual_norms=np.array(norms),
         error_norms=None if errors is None else np.array(errors),

@@ -24,7 +24,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .elements import ElementBatch
-from .operators import DirichletData
+from .operators import DirichletData, scatter
 from .solvers import SpectralBounds
 
 
@@ -62,11 +62,11 @@ def mass_bounds(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
     in the Loewner order, and every principal submatrix keeps both
     inequalities.  The free-node spectrum therefore lies in
     [min s_i / 12, max s_i / 3] over free nodes i (Wathen 1987).  The sums
-    s_i add up ``batch.areas``, the areas M_e is built from, with the
-    batch's precomputed scatter.
+    s_i add up ``batch.areas``, the areas M_e is built from, with
+    ``operators.scatter``.
     """
     index = batch.index
-    node_area = index.scatter(np.broadcast_to(batch.areas, index.indt.shape))
+    node_area = scatter(index, np.broadcast_to(batch.areas, index.indt.shape))
     is_free = np.ones(index.n_nodes, dtype=bool)
     is_free[d.nd] = False
     s = node_area[is_free]

@@ -41,14 +41,25 @@ def test_assemble_rhs_shape_guard():
 
 
 def test_scatter_reproduces_assemble_rhs():
-    m = perturbed_mesh(3, 0.1, 5)
-    batch = build_element_batch(m, nu=1.5, f=lambda x, y: np.cos(3.0 * x) - y)
-    idx = batch.index
-    b = assemble_rhs(batch.b_e, idx.indt)
-    assert idx.scatter(batch.b_e).tobytes() == b.tobytes()
-    local = np.random.default_rng(2).standard_normal(idx.indt.shape)
-    ref = np.bincount(idx.indt.ravel(), weights=local.ravel(), minlength=m.n_nodes)
-    assert idx.scatter(local).tobytes() == ref.tobytes()
+    # node 0 of the second mesh is unreferenced: its row of the scatter is empty
+    holed = with_unreferenced_node(build_unit_square_mesh(3), first=True)
+    rng = np.random.default_rng(2)
+    for mesh in (perturbed_mesh(3, 0.1, 5), holed):
+        batch = build_element_batch(mesh, nu=1.5, f=lambda x, y: np.cos(3.0 * x) - y)
+        idx = batch.index
+        flat = idx.indt.ravel()
+        b = assemble_rhs(batch.b_e, idx.indt)
+        local = rng.standard_normal(idx.indt.shape)
+        areas = np.broadcast_to(batch.areas, idx.indt.shape)
+        for threads in (1, 2, 3):
+            assert operators.scatter(idx, batch.b_e, threads).tobytes() == b.tobytes()
+            for values in (local, areas):
+                ref = np.bincount(flat, weights=values.ravel(), minlength=mesh.n_nodes)
+                out = operators.scatter(idx, values, threads)
+                assert out.tobytes() == ref.tobytes()
+    assert operators.scatter(idx, local)[0] == 0.0
+    with pytest.raises(ValueError, match="shape mismatch"):
+        operators.scatter(idx, np.ones((3, 2)))
 
 
 def test_residual_at_zero_is_rhs():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +20,7 @@ from ebsolve import (
     richardson,
     solve_reference,
 )
+import ebsolve.solvers
 from ebsolve.spectrum import model_eigen_bounds, operator_bounds
 
 NO_CONSTRAINTS = DirichletData(np.array([], dtype=np.int64), np.array([]))
@@ -310,6 +313,57 @@ def test_stop_reason():
     assert len(hist.residual_norms) < 5001
     with pytest.raises(ValueError, match="stop reason"):
         type(hist)(hist.residual_norms, None, 0.0, stop_reason="converged")
+
+
+def test_overflowing_start_stops_at_step_0():
+    # x0 = 1e200 off the boundary is finite, and so is its residual, but
+    # the residual's norm overflows: that is a divergence at step 0, with
+    # or without a tolerance, and numpy's overflow warning is not repeated
+    m, batch, d, _ = make_problem(3)
+    x0 = np.full(m.n_nodes, 1e200)
+    x0[d.nd] = 1.0
+    bounds = model_eigen_bounds(9)
+    u = reference_solution(batch, d)
+    for tol in (None, 1e-6):
+        for solver, extra in ((richardson, ()), (chebyshev2, (4,)), (chebyshev3, ())):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x, hist = solver(batch, d, x0, bounds, *extra, 10, tol=tol,
+                                 reference=u)
+            assert hist.stop_reason == "diverged"
+            assert hist.residual_norms.tolist() == [np.inf]
+            assert hist.error_norms.tolist() == [np.inf]
+            npt.assert_array_equal(x, x0)
+
+
+def test_one_residual_call_per_recorded_norm(monkeypatch):
+    calls = []
+    original = ebsolve.solvers.residual
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ebsolve.solvers, "residual", counted)
+    m, batch, d, _ = make_problem(3)
+    ones = np.ones(m.n_nodes)
+    overflowing = np.where(np.isin(np.arange(m.n_nodes), d.nd), 1.0, 1e200)
+    good = model_eigen_bounds(9)
+    # an infinite step size makes the first iterate non-finite
+    infinite_step = SpectralBounds(0.0, 1e-320)
+    cases = [  # x0, bounds, iters, tol, stop reason, residual calls - norms
+        (ones, good, 20, None, "budget", 0),
+        (ones, good, 500, 1e-6, "tol", 0),
+        (ones, SpectralBounds(2.0, 3.0), 5000, None, "diverged", 0),
+        (overflowing, good, 20, 1e-6, "diverged", 0),
+        (ones, infinite_step, 20, None, "diverged", -1),
+    ]
+    for x0, bounds, iters, tol, reason, offset in cases:
+        for solver, extra in ((richardson, ()), (chebyshev2, (4,)), (chebyshev3, ())):
+            calls.clear()
+            _, hist = solver(batch, d, x0, bounds, *extra, iters, tol=tol)
+            assert hist.stop_reason == reason, (solver.__name__, reason)
+            assert len(calls) == len(hist.residual_norms) + offset
 
 
 def test_solvers_reject_nodes_beyond_the_mesh():
