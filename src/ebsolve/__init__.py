@@ -22,6 +22,7 @@ from .mesh import (
 )
 from .operators import (
     DirichletData,
+    Workspace,
     assemble_rhs,
     constant_dirichlet,
     mask_dirichlet,
@@ -53,6 +54,7 @@ __all__ = [
     "IndexArrays",
     "Mesh",
     "SpectralBounds",
+    "Workspace",
     "assemble_rhs",
     "assemble_sparse",
     "build_element_batch",

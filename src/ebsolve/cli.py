@@ -133,8 +133,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ref_time = 0.0
     if need_reference:
         t0 = time.perf_counter()
-        A = assemble_sparse(batch.A_e, batch.index.indt)
-        b = assemble_rhs(batch.b_e, batch.index.indt)
+        A = assemble_sparse(batch.A_e, batch.index.indt, n_nodes=batch.index.n_nodes)
+        b = assemble_rhs(batch.b_e, batch.index.indt, n_nodes=batch.index.n_nodes)
         reference = solve_reference(A, b, dirichlet)
         ref_time = time.perf_counter() - t0
 

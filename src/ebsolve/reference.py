@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .operators import DirichletData
+from .operators import DirichletData, node_count
 
 # above this many unknowns a direct factorization stops being "small"
 _DIRECT_LIMIT = 200_000
@@ -22,17 +22,20 @@ _DENSE_EIG_LIMIT = 2000
 _CG_RTOL = 1e-13
 
 
-def assemble_sparse(slices: np.ndarray, indt: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Assemble batched local matrices into one global CSR matrix.
+def assemble_sparse(slices: np.ndarray, indt: np.ndarray,
+                    n_nodes: int | None = None) -> scipy.sparse.csr_matrix:
+    """Assemble batched local matrices into one global n_nodes x n_nodes CSR matrix.
 
     Every local entry (i, j, e) becomes a triplet at global position
-    (indt[i,e], indt[j,e]); duplicates are consolidated by summation.
+    (indt[i,e], indt[j,e]); duplicates are consolidated by summation.  A
+    node no element references gets an empty row and column; see
+    ``node_count`` for the default ``n_nodes``.
     """
     if slices.ndim != 3 or slices.shape[:2] != (3, 3) or indt.shape != (3, slices.shape[2]):
         raise ValueError(
             f"inconsistent shapes: slices {slices.shape}, indt {indt.shape}"
         )
-    n = int(indt.max()) + 1
+    n = node_count(indt, n_nodes)
     rows = np.broadcast_to(indt[:, None, :], slices.shape).ravel()
     cols = np.broadcast_to(indt[None, :, :], slices.shape).ravel()
     coo = scipy.sparse.coo_matrix((slices.ravel(), (rows, cols)), shape=(n, n))

@@ -14,6 +14,14 @@ they take from the current residual:
 The cyclic two-level method is kept deliberately in its naive root order:
 its intra-cycle amplification of round-off is a feature under study, not a
 bug to fix here.
+
+A solve allocates its working arrays once: the iterate, one residual
+``Workspace`` that every step's ``residual`` call overwrites, and cheb3's
+direction p.  Each step updates x (and p) in place, using the residual
+vector as the scratch for its scaled step, with the same IEEE operations
+as ``x + step * r``, so the iterates are bitwise those of the
+allocating form.  The ``x`` and ``r`` a callback receives are these live
+buffers: the next step overwrites them, so copy what should be kept.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .elements import ElementBatch
-from .operators import DirichletData, mask_dirichlet, residual
+from .operators import DirichletData, Workspace, mask_dirichlet, residual
 
 
 @dataclass(frozen=True)
@@ -117,11 +125,13 @@ def chebyshev_scaling_factor(bounds: SpectralBounds, k: int) -> float:
 
 def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
              threads):
-    """Shared solver loop; ``advance(k, x, r) -> new x`` defines the method."""
+    """Shared solver loop; ``advance(k, x, r)`` updates x in place and may
+    overwrite r, which the next residual call refills."""
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
     dirichlet.check_nodes(batch.index.n_nodes)
     x = np.array(x0, dtype=np.float64, copy=True)
+    work = Workspace.for_batch(batch)
     norms = []
     errors = [] if reference is not None else None
     stop_reason = "budget"
@@ -132,14 +142,14 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iters + 1):
             if k > 0:
-                x = advance(k - 1, x, r)
+                advance(k - 1, x, r)
                 if not np.all(np.isfinite(x)):
                     norms.append(float("inf"))
                     if errors is not None:
                         errors.append(float("inf"))
                     stop_reason = "diverged"
                     break
-            r = mask_dirichlet(residual(batch, x, threads), dirichlet)
+            r = mask_dirichlet(residual(batch, x, threads, work=work), dirichlet)
             norms.append(float(np.linalg.norm(r)))
             if errors is not None:
                 errors.append(float(np.linalg.norm(x - reference)))
@@ -177,7 +187,8 @@ def richardson(
     omega = 2.0 / (bounds.lambda1 + bounds.lambda2)
 
     def advance(k, x, r):
-        return x + omega * r
+        np.multiply(r, omega, out=r)
+        x += r
 
     return _iterate(batch, d, x0, iters, advance, tol=tol, reference=reference,
                     callback=callback, threads=threads)
@@ -206,7 +217,8 @@ def chebyshev2(
     alphas = chebyshev_roots(bounds, N)
 
     def advance(k, x, r):
-        return x + (1.0 / alphas[k % N]) * r
+        np.multiply(r, 1.0 / alphas[k % N], out=r)
+        x += r
 
     return _iterate(batch, d, x0, iters, advance, tol=tol, reference=reference,
                     callback=callback, threads=threads)
@@ -253,8 +265,10 @@ def chebyshev3(
             if k > 1:
                 beta *= 0.5
             alpha = 1.0 / (dd - beta / alpha)
-            p = r + beta * p
-        return x + alpha * p
+            p *= beta
+            p += r
+        np.multiply(p, alpha, out=r)
+        x += r
 
     return _iterate(batch, d, x0, iters, advance, tol=tol, reference=reference,
                     callback=callback, threads=threads)

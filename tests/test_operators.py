@@ -10,10 +10,12 @@ from scipy.sparse._sparsetools import csr_matvec
 import scipy.sparse as sp
 
 from conftest import make_problem, perturbed_mesh
+from ebsolve.mesh import MAX_THREADS
 
 from ebsolve import (
     DirichletData,
     Mesh,
+    Workspace,
     assemble_rhs,
     assemble_sparse,
     build_element_batch,
@@ -56,6 +58,10 @@ def test_scatter_reproduces_assemble_rhs():
             for values in (local, areas):
                 ref = np.bincount(flat, weights=values.ravel(), minlength=mesh.n_nodes)
                 out = operators.scatter(idx, values, threads)
+                assert out.tobytes() == ref.tobytes()
+                # a given out is overwritten, whatever it held
+                out = np.full(mesh.n_nodes, np.nan)
+                assert operators.scatter(idx, values, threads, out=out) is out
                 assert out.tobytes() == ref.tobytes()
     assert operators.scatter(idx, local)[0] == 0.0
     with pytest.raises(ValueError, match="shape mismatch"):
@@ -229,6 +235,68 @@ def test_csr_matvec_contract():
     csr_matvec(25 - 10, 30, A.indptr[10:26], A.indices, A.data, x, y[10:25])
     assert y[10:25].tobytes() == (A @ x)[10:25].tobytes()
     assert not y[:10].any() and not y[25:].any()
+
+
+def test_residual_into_reused_workspace_matches_fresh_calls_bitwise():
+    # a reused workspace starts each call full of the previous call's values,
+    # the first call full of NaN; every entry must be overwritten
+    m = perturbed_mesh(4, 0.1, 3)
+    batch = build_element_batch(m, nu=2.5, f=lambda x, y: np.sin(5.0 * x) + y)
+    rng = np.random.default_rng(8)
+    xs = [rng.standard_normal(m.n_nodes) for _ in range(4)]
+    fresh = [residual(batch, x).tobytes() for x in xs]
+    for threads in (1, 2, 3):
+        work = Workspace.for_batch(batch)
+        work.local.fill(np.nan)
+        work.r.fill(np.nan)
+        for x, ref in zip(xs, fresh):
+            r = residual(batch, x, threads, work=work)
+            assert r is work.r
+            assert r.tobytes() == ref
+            assert not np.isnan(work.local).any()
+
+
+def test_workspace_validation():
+    m, batch, _, _ = make_problem(2)
+    x = np.zeros(m.n_nodes)
+    n_e, n_n = batch.n_elements, m.n_nodes
+    wrong = [
+        Workspace(np.empty((3, n_e + 1)), np.empty(n_n)),
+        Workspace(np.empty((3, n_e)), np.empty(n_n + 1)),
+        Workspace(np.empty((3, n_e), dtype=np.float32), np.empty(n_n)),
+        Workspace(np.empty((3, n_e), order="F"), np.empty(n_n)),
+        Workspace(np.empty((3, n_e)), np.empty(2 * n_n)[::2]),
+    ]
+    frozen = np.empty(n_n)
+    frozen.setflags(write=False)
+    wrong.append(Workspace(np.empty((3, n_e)), frozen))
+    for work in wrong:
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            residual(batch, x, work=work)
+    # adjacent slices of one buffer do not overlap
+    shared = np.empty(3 * n_e + n_n)
+    adjacent = Workspace(shared[:3 * n_e].reshape(3, n_e), shared[3 * n_e:])
+    assert residual(batch, x, work=adjacent).tobytes() == residual(batch, x).tobytes()
+    local = np.empty(3 * n_e)
+    with pytest.raises(ValueError, match="overlaps local"):
+        operators.scatter(batch.index, local.reshape(3, n_e), out=local[:n_n])
+    with pytest.raises(ValueError, match="overlaps work.local"):
+        residual(batch, local[:n_n], work=Workspace(local.reshape(3, n_e), np.empty(n_n)))
+
+
+def test_thread_count_outside_cap_raises_before_any_pool(monkeypatch):
+    m, batch, _, _ = make_problem(2)
+
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} workers was requested")
+
+    monkeypatch.setattr(operators, "_pool", no_pool)
+    x = np.zeros(m.n_nodes)
+    for threads in (0, -1, MAX_THREADS + 1):
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_THREADS}"):
+            residual(batch, x, threads)
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_THREADS}"):
+            operators.scatter(batch.index, batch.b_e, threads)
 
 
 def test_residual_input_validation():

@@ -7,8 +7,11 @@ from conftest import make_problem
 
 from ebsolve import (
     DirichletData,
+    Mesh,
     assemble_rhs,
     assemble_sparse,
+    build_element_batch,
+    build_unit_square_mesh,
     dense_interior_eigenvalues,
     local_mass_batch,
     local_stiffness_batch,
@@ -133,3 +136,29 @@ def test_solve_reference_rejects_nodes_beyond_the_mesh():
         d = DirichletData(np.array(nd), np.ones(len(nd)))
         with pytest.raises(ValueError, match="81 nodes"):
             solve_reference(A, b, d)
+
+
+def test_oracle_keeps_a_last_node_that_no_element_references():
+    grid = build_unit_square_mesh(2)
+    m = Mesh(np.vstack([grid.nodes, [[0.5, 0.55]]]), grid.elements, grid.boundary_nodes)
+    assert m.n_nodes == 26
+    batch = build_element_batch(m)
+    idx = batch.index
+    A = assemble_sparse(batch.A_e, idx.indt, n_nodes=idx.n_nodes)
+    b = assemble_rhs(batch.b_e, idx.indt, n_nodes=idx.n_nodes)
+    assert A.shape == (26, 26) and b.shape == (26,)
+    assert A[25].nnz == 0 and b[25] == 0.0
+    nd = np.append(grid.boundary_nodes, 25)
+    u = solve_reference(A, b, DirichletData(nd, np.full(nd.size, 2.0)))
+    assert u.shape == (26,) and u[25] == 2.0
+    # the grid's own solution on the other 25 nodes, bit for bit
+    g = build_element_batch(grid)
+    ref = solve_reference(assemble_sparse(g.A_e, g.index.indt),
+                          assemble_rhs(g.b_e, g.index.indt),
+                          DirichletData(grid.boundary_nodes, np.full(16, 2.0)))
+    assert u[:25].tobytes() == ref.tobytes()
+    # without the count the node is dropped; a count too small is refused
+    assert assemble_rhs(batch.b_e, idx.indt).shape == (25,)
+    for assemble, values in ((assemble_sparse, batch.A_e), (assemble_rhs, batch.b_e)):
+        with pytest.raises(ValueError, match="out of range for 24 nodes"):
+            assemble(values, idx.indt, n_nodes=24)

@@ -366,6 +366,30 @@ def test_one_residual_call_per_recorded_norm(monkeypatch):
             assert len(calls) == len(hist.residual_norms) + offset
 
 
+def test_every_step_writes_into_one_workspace(monkeypatch):
+    calls = []
+    original = ebsolve.solvers.residual
+
+    def recorded(batch, x, threads=1, work=None):
+        r = original(batch, x, threads, work=work)
+        calls.append((work, r, x))
+        return r
+
+    monkeypatch.setattr(ebsolve.solvers, "residual", recorded)
+    m, batch, d, _ = make_problem(3)
+    x0 = np.ones(m.n_nodes)
+    bounds = model_eigen_bounds(9)
+    for solver, extra in ((richardson, ()), (chebyshev2, (4,)), (chebyshev3, ())):
+        calls.clear()
+        x, hist = solver(batch, d, x0, bounds, *extra, 12)
+        assert len(calls) == len(hist.residual_norms) == 13
+        work = calls[0][0]
+        assert work.local.shape == (3, batch.n_elements)
+        for w, r, xk in calls:
+            assert w is work and r is work.r and xk is x
+    assert x0.tolist() == [1.0] * m.n_nodes
+
+
 def test_solvers_reject_nodes_beyond_the_mesh():
     m, batch, _, _ = make_problem(3)
     assert m.n_nodes == 81
