@@ -18,7 +18,6 @@ from .mesh import (
     build_grid_mesh,
     build_index_arrays,
     build_unit_square_mesh,
-    uniform_refine,
 )
 from .operators import (
     DirichletData,
@@ -78,7 +77,6 @@ __all__ = [
     "richardson",
     "run_experiment",
     "solve_reference",
-    "uniform_refine",
 ]
 
 __version__ = "0.1.0"

@@ -5,12 +5,13 @@ splits every cell into two triangles along the diagonal running from the
 lower-left to the upper-right corner.  Nodes are numbered row by row
 (y outer, x inner), so node ``iy*n + ix`` sits at ``(ix/(n-1), iy/(n-1))``.
 All coordinates are dyadic rationals for the level-based sizes, which keeps
-midpoint refinement bit-exact.
+element areas exact.
 
 Connectivity is held once, as int32 in C order (one node triple per row).
 The element operator reads it three ways without copying: ``elements.T`` is
 the (3, n_e) gather array ``indt``, ``elements.ravel()`` the column array of
-the per-row element CSR matrices, and the scatter matrix is built from it.
+the per-row element CSR matrices, and the node-blocked scatter plan is built
+from it.
 ``IndexArrays`` holds these structures only; the kernels that run on them,
 ``operators.residual`` and ``operators.scatter``, live with the operator.
 """
@@ -18,10 +19,11 @@ the per-row element CSR matrices, and the scatter matrix is built from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import numpy.typing as npt
-import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_tocsr
 
 # Levels above this exhaust address space long before they are useful
 # (level 12 already means ~33.5M triangles).
@@ -46,6 +48,20 @@ INDEX_MAX = np.iinfo(np.int32).max
 # full-width geometry.
 GATHER_BLOCK = 16384
 
+# Nodes per block of the node-blocked scatter (``ScatterPlan``), whatever
+# the thread count.  A block of grid rows touches about two elements per
+# node, so its window of local residuals, 3 x ~65536 doubles (1.6 MB) per
+# thread, is still in cache when the scatter reads it back; the (3, n_e)
+# array it replaces is 50 MB at level 10.  Level 10 has 33 blocks, each
+# element computed x1.031 times on average; level 8 has 3 (x1.008), and
+# meshes up to level 7 are one block.
+SCATTER_BLOCK = 32768
+
+# A plan whose windows together cover more than this many times n_e
+# elements is built as one block instead: with the elements shuffled, the
+# level-8 windows overlap to x9 the element work.
+WINDOW_SLACK = 1.1
+
 
 def as_index_array(values, name: str) -> np.ndarray:
     """``values`` as an integer array; any other dtype is rejected, not truncated.
@@ -67,14 +83,11 @@ class Mesh:
     element's three nodes in turn, the column array of the element
     operator, and ``build_index_arrays`` shares the array rather than
     copying it.  Meshes with more nodes than int32 can index are rejected.
-    ``level`` is set by the structured generators and ``None`` for meshes
-    assembled by hand (test fixtures, imported geometries).
     """
 
     nodes: npt.NDArray[np.float64]
     elements: npt.NDArray[np.int32]
     boundary_nodes: npt.NDArray[np.int64]
-    level: int | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -111,6 +124,91 @@ class Mesh:
         return self.elements.shape[0]
 
 
+class ScatterBlock(NamedTuple):
+    """Node rows [a, b) of a ``ScatterPlan`` and their element window [elo, ehi)."""
+
+    a: int
+    b: int
+    elo: int
+    ehi: int
+    indptr: npt.NDArray[np.int32]
+    indices: npt.NDArray[np.int32]
+
+
+@dataclass(frozen=True)
+class ScatterPlan:
+    """The node-row scatter precomputed from ``indt`` alone, MATLAB's
+    ``accumarray`` split into blocks of ``SCATTER_BLOCK`` nodes.
+
+    Node n's entries are its positions p = i*n_e + e in ``indt.ravel()``,
+    in ascending order.  The rows [a, b) of a block reference only the
+    elements of its window [elo, ehi), W = ehi - elo, so ``indices`` holds
+    each position rebased to the window, i*W + e - elo: an index into the
+    (3, W) local values of the window's elements.  Each block's row pointer
+    is rebased to 0 too (block k's sits at ``indptr[a+k:b+k+1]``), so one
+    shared array of ``ones``, as long as the largest block's entry count,
+    is the CSR data of every block.  ``blocks`` holds the bounds and
+    zero-copy views of both arrays per block.  When the windows together
+    cover more than ``WINDOW_SLACK * n_e`` elements (elements in poor
+    order), the plan is one block over all nodes, whose window is every
+    element.
+    """
+
+    indptr: npt.NDArray[np.int32]
+    indices: npt.NDArray[np.int32]
+    ones: npt.NDArray[np.float64]
+    blocks: tuple[ScatterBlock, ...]
+
+    @property
+    def window(self) -> int:
+        """The largest window, W elements."""
+        return max((blk.ehi - blk.elo for blk in self.blocks), default=0)
+
+
+def _scatter_plan(indt: np.ndarray, n_nodes: int) -> ScatterPlan:
+    n_e = indt.shape[1]
+    flat = indt.ravel()
+    # COO -> CSR is a counting sort, so each node row keeps its positions in
+    # ascending order; its 0/1 values are int8 scratch, then dropped
+    ptr = np.empty(n_nodes + 1, dtype=np.int32)
+    indices = np.empty(flat.size, dtype=np.int32)
+    coo_tocsr(n_nodes, flat.size, flat.size, flat, np.arange(flat.size, dtype=np.int32),
+              np.ones(flat.size, dtype=np.int8), ptr, indices,
+              np.empty(flat.size, dtype=np.int8))
+
+    rows = list(range(0, n_nodes, SCATTER_BLOCK)) + [n_nodes]
+    windows = []
+    for a, b in zip(rows, rows[1:]):
+        positions = indices[ptr[a]:ptr[b]]
+        if positions.size == 0:
+            windows.append((0, 0))
+            continue
+        e = positions // n_e
+        e *= n_e
+        np.subtract(positions, e, out=e)  # the element of each position
+        windows.append((int(e.min()), int(e.max()) + 1))
+    if sum(hi - lo for lo, hi in windows) > WINDOW_SLACK * n_e:
+        rows, windows = [0, n_nodes], [(0, n_e)]
+
+    block_ptr = np.empty(n_nodes + len(windows), dtype=np.int32)
+    spans = []
+    for k, (a, b, (elo, ehi)) in enumerate(zip(rows, rows[1:], windows)):
+        lo, hi = int(ptr[a]), int(ptr[b])
+        positions = indices[lo:hi]
+        shift = positions // n_e
+        shift *= n_e - (ehi - elo)
+        shift += elo
+        positions -= shift  # i*n_e + e  ->  i*W + e - elo
+        np.subtract(ptr[a:b + 1], lo, out=block_ptr[a + k:b + k + 1])
+        spans.append((a, b, elo, ehi, lo, hi))
+    ones = np.ones(max((hi - lo for *_, lo, hi in spans), default=0))
+    for arr in (block_ptr, indices, ones):
+        arr.setflags(write=False)
+    blocks = tuple(ScatterBlock(a, b, elo, ehi, block_ptr[a + k:b + k + 1], indices[lo:hi])
+                   for k, (a, b, elo, ehi, lo, hi) in enumerate(spans))
+    return ScatterPlan(block_ptr, indices, ones, blocks)
+
+
 @dataclass(frozen=True)
 class IndexArrays:
     """Gather/scatter index array replacing explicit connectivity matrices.
@@ -125,17 +223,16 @@ class IndexArrays:
     at the columns ``columns[3e:3e+3]``, with the row pointer ``indptr``
     (0, 3, 6, ...).  It holds element rows, not assembled ones.
 
-    ``scatter_matrix`` is the scatter precomputed from ``indt`` alone, the
-    counterpart of MATLAB's ``accumarray``: a 0/1 CSR matrix of shape
-    (n_nodes, 3*n_e) whose row n lists, in ascending order, the positions
-    of node n in ``indt.ravel()``.  It holds connectivity only, no element
-    values; ``operators.scatter`` sums with it.
+    ``scatter_plan`` is the node-blocked scatter (see ``ScatterPlan``): for
+    each block of node rows, the element window its entries lie in and the
+    entries as positions in that window.  It holds connectivity only, no
+    element values; ``operators`` sums with it.
     """
 
     indt: npt.NDArray[np.int32]
     n_nodes: int
     indptr: npt.NDArray[np.int32] = field(init=False, repr=False, compare=False)
-    scatter_matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    scatter_plan: ScatterPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indt = as_index_array(self.indt, "indt")
@@ -154,13 +251,7 @@ class IndexArrays:
         indptr = np.arange(0, 3 * n_e + 1, 3, dtype=np.int32)
         indptr.setflags(write=False)
         object.__setattr__(self, "indptr", indptr)
-        flat = indt.ravel()
-        # COO -> CSR is a counting sort, so each row keeps its positions in
-        # ascending order; int32 positions spare scipy an int64 -> int32 copy
-        positions = np.arange(flat.size, dtype=np.int32)
-        S = sp.csr_matrix((np.ones(flat.size), (flat, positions)),
-                          shape=(self.n_nodes, flat.size))
-        object.__setattr__(self, "scatter_matrix", S)
+        object.__setattr__(self, "scatter_plan", _scatter_plan(indt, self.n_nodes))
 
     @property
     def columns(self) -> npt.NDArray[np.int32]:
@@ -208,12 +299,7 @@ def build_grid_mesh(n: int) -> Mesh:
     elements = np.empty((2 * len(ll), 3), dtype=np.int32)
     elements[0::2] = np.column_stack([ll, ll + 1, ll + n + 1])
     elements[1::2] = np.column_stack([ll, ll + n + 1, ll + n])
-
-    level = None
-    n_cells = n - 1
-    if n_cells & (n_cells - 1) == 0:  # power of two -> a refinement level
-        level = int(n_cells).bit_length() - 1
-    return Mesh(nodes, elements, _detect_boundary(nodes), level=level)
+    return Mesh(nodes, elements, _detect_boundary(nodes))
 
 
 def build_unit_square_mesh(level: int) -> Mesh:
@@ -237,58 +323,3 @@ def build_index_arrays(m: Mesh) -> IndexArrays:
     ``indt`` is a view of ``m.elements``, not a copy.
     """
     return IndexArrays(m.elements.T, m.n_nodes)
-
-
-def uniform_refine(m: Mesh) -> Mesh:
-    """Split every triangle into 4 congruent children via edge midpoints.
-
-    For meshes produced by the structured generator the result is renumbered
-    canonically so that it equals ``build_unit_square_mesh(level + 1)``
-    elementwise: nodes sorted lexicographically by (y, x), each triple
-    rotated to start at its smallest node index (orientation preserved),
-    element rows sorted lexicographically.
-    """
-    if m.level is not None and m.level + 1 > MAX_LEVEL:
-        raise ValueError(
-            f"refining level {m.level} exceeds the size guard (max {MAX_LEVEL})"
-        )
-    if 4 * m.n_elements > 2 * 4**MAX_LEVEL:
-        raise ValueError("refinement exceeds the size guard")
-
-    tri = m.elements
-    # one midpoint per geometric edge: key edges by sorted node pairs
-    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    uniq, inv = np.unique(edges, axis=0, return_inverse=True)
-    mid_of_edge = m.n_nodes + inv.reshape(3, -1)  # rows: ab, bc, ca per element
-    mid_coords = 0.5 * (m.nodes[uniq[:, 0]] + m.nodes[uniq[:, 1]])
-    all_nodes = np.vstack([m.nodes, mid_coords])
-
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    ab, bc, ca = mid_of_edge
-    children = np.concatenate(
-        [
-            np.column_stack([a, ab, ca]),
-            np.column_stack([ab, b, bc]),
-            np.column_stack([ca, bc, c]),
-            np.column_stack([ab, bc, ca]),
-        ]
-    )
-
-    # canonical node numbering: lexicographic by (y, x)
-    order = np.lexsort((all_nodes[:, 0], all_nodes[:, 1]))
-    rank = np.empty(len(all_nodes), dtype=np.int64)
-    rank[order] = np.arange(len(all_nodes))
-    new_nodes = all_nodes[order]
-    children = rank[children]
-
-    # rotate each triple to its smallest index (cyclic, keeps orientation),
-    # then order the rows lexicographically
-    shift = np.argmin(children, axis=1)
-    cols = (shift[:, None] + np.arange(3)) % 3
-    children = np.take_along_axis(children, cols, axis=1)
-    children = children[np.lexsort((children[:, 2], children[:, 1], children[:, 0]))]
-
-    level = None if m.level is None else m.level + 1
-    return Mesh(new_nodes, children, _detect_boundary(new_nodes), level=level)
-

@@ -5,22 +5,26 @@ element by element,
 
     r = sum_e scatter( b_e - A_e * x[indt] ),
 
-in two passes of scipy's compiled CSR matrix-vector loop.  For each local
-row i the element operator is a CSR matrix with one row per element (data
-``A_e[i, :, e]``, columns element e's nodes, see ``IndexArrays``); its
-product with x is the gather and the local 3x3 product in one pass.
-``scatter`` then sums all local contributions with the index array's 0/1
-scatter matrix (MATLAB's ``accumarray``; it holds connectivity only, so
-the system matrix is still never formed).  Both passes run on zero-copy
-slices of the stored arrays.  ``residual`` is the only implementation of
-this operator, and ``scatter`` the only node-row scatter (``mass_bounds``
-sums node areas with it).  Global vectors are 1-D float64 of length n_n.
+in scipy's compiled CSR matrix-vector loop, node block by node block.  For
+each local row i the element operator is a CSR matrix with one row per
+element (data ``A_e[i, :, e]``, columns element e's nodes, see
+``IndexArrays``); its product with x is the gather and the local 3x3
+product in one pass.  For each block of ``mesh.SCATTER_BLOCK`` node rows,
+``residual`` computes the local residuals of the block's element window
+into a per-thread buffer of 3*W doubles (~1.6 MB at level 10), then sums
+the block's rows from it with the index array's ``ScatterPlan`` (MATLAB's
+``accumarray``; it holds connectivity only, so the system matrix is still
+never formed).  No (3, n_e) array of element residuals is ever stored, and
+every pass runs on zero-copy slices of the stored arrays.  ``residual`` is
+the only implementation of this operator, and the blocked pass in
+``_scatter_blocks`` the only node-row scatter: ``scatter`` (and through it
+``mass_bounds``) fills the windows from its own (3, n_e) input.  Global
+vectors are 1-D float64 of length n_n.
 
-A call without a ``Workspace`` allocates its (3, n_e) element residuals
-and its result.  A solve allocates one ``Workspace`` and passes it to every
-step's ``residual`` call, which then overwrites the same two arrays (the
-element residuals alone are 50 MB at level 10) instead of mapping fresh
-ones; the arithmetic, and so every bit of the result, is the same.
+A call without a ``Workspace`` allocates its result.  A solve allocates
+one ``Workspace`` and passes it to every step's ``residual`` call, which
+then overwrites the same vector; the arithmetic, and so every bit of the
+result, is the same.
 
 Dirichlet conditions are enforced by masking: residual entries at
 constrained nodes are zeroed every iteration, so a conforming iterate never
@@ -109,21 +113,23 @@ def assemble_rhs(b_e: np.ndarray, indt: np.ndarray,
                        minlength=node_count(indt, n_nodes))
 
 
+class NonFiniteError(ValueError):
+    """``residual`` was given an x with a NaN or an infinite entry."""
+
+
 @dataclass(frozen=True)
 class Workspace:
-    """The arrays one ``residual`` call writes: the (3, n_e) element residuals
-    ``local`` and the length-n_n result ``r``.
+    """The length-n_n result ``r`` that one ``residual`` call writes.
 
-    ``residual(batch, x, work=w)`` overwrites both and returns ``w.r``, so a
-    solve that passes one workspace to every step allocates them once.
+    ``residual(batch, x, work=w)`` overwrites it and returns ``w.r``, so a
+    solve that passes one workspace to every step allocates it once.
     """
 
-    local: npt.NDArray[np.float64]
     r: npt.NDArray[np.float64]
 
     @classmethod
     def for_batch(cls, batch: ElementBatch) -> Workspace:
-        return cls(np.empty((3, batch.n_elements)), np.empty(batch.index.n_nodes))
+        return cls(np.empty(batch.index.n_nodes))
 
 
 def _buffer(a: np.ndarray | None, shape: tuple, name: str) -> npt.NDArray[np.float64]:
@@ -160,56 +166,76 @@ def _split(fn, n: int, threads: int) -> None:
         f.result()
 
 
+def _scatter_blocks(index: IndexArrays, fill, threads: int,
+                    r: np.ndarray) -> npt.NDArray[np.float64]:
+    """The node-row scatter: r[a:b] for every block of ``index.scatter_plan``.
+
+    ``fill(window, elo, ehi)`` writes the (3, W) local values of elements
+    [elo, ehi) into ``window``, a slice of one buffer per thread.  Then
+    ``csr_matvec(n_row, n_col, indptr, indices, data, x, y)``, the loop
+    behind ``csr_matrix @ x``, which adds row k's products to ``y[k]`` left
+    to right and releases the GIL, sums the block's rows from the window
+    with the plan's rebased pointer, window positions and shared ones.
+    Contiguous ranges of blocks run on ``threads`` workers of one
+    long-lived pool.  Row n adds node n's values in ``indt.ravel()`` order,
+    as ``np.bincount`` does, so the result is bitwise independent of
+    ``threads`` and of the block size; nodes that no element references
+    get 0.
+    """
+    plan = index.scatter_plan
+
+    def run(k0, k1):
+        buf = np.empty(3 * plan.window)
+        for a, b, elo, ehi, indptr, indices in plan.blocks[k0:k1]:
+            window = buf[:3 * (ehi - elo)]
+            fill(window.reshape(3, ehi - elo), elo, ehi)
+            rows = r[a:b]
+            rows.fill(0.0)
+            csr_matvec(b - a, window.size, indptr, indices, plan.ones, window, rows)
+
+    _split(run, len(plan.blocks), threads)
+    return r
+
+
 def scatter(index: IndexArrays, local: np.ndarray, threads: int = 1,
             out: np.ndarray | None = None) -> npt.NDArray[np.float64]:
     """Sum the (3, n_e) local contributions into a global vector of length n_nodes.
 
     The sum is written into ``out`` (a writeable C-contiguous float64 vector
-    of length n_nodes, overwritten and returned) or into a new vector.
-
-    ``csr_matvec(n_row, n_col, indptr, indices, data, x, y)`` is the loop
-    behind ``csr_matrix @ x``: it adds row k's products to ``y[k]`` left to
-    right and releases the GIL.  Each of ``threads`` node ranges [a, b),
-    run on one long-lived pool, sums its rows of the scatter matrix into
-    ``r[a:b]`` through the zero-copy slice ``indptr[a:b+1]``, whose offsets
-    still point into the whole ``indices`` and ``data``.  Row n adds node
-    n's contributions in ``indt.ravel()`` order, as ``np.bincount`` does, so
-    for any ``threads`` the result is bitwise equal to
-    ``np.bincount(indt.ravel(), local.ravel(), minlength=n_nodes)``; nodes
-    that no element references get 0.
+    of length n_nodes, overwritten and returned) or into a new vector.  Each
+    block's window is copied from ``local``, which may be any (3, n_e)
+    array, a broadcast view included: only a one-block plan copies it
+    whole.  For any ``threads`` the result is bitwise equal to
+    ``np.bincount(indt.ravel(), local.ravel(), minlength=n_nodes)``.
     """
     if local.shape != index.indt.shape:
         raise ValueError(f"shape mismatch: local {local.shape} vs indt {index.indt.shape}")
     r = _buffer(out, (index.n_nodes,), "out")
     if np.may_share_memory(local, r):
         raise ValueError("out overlaps local")
-    flat = np.ascontiguousarray(local, dtype=np.float64).reshape(-1)
-    S = index.scatter_matrix
 
-    def scatter_rows(a, b):
-        rows = r[a:b]
-        rows.fill(0.0)
-        csr_matvec(b - a, flat.size, S.indptr[a:b + 1], S.indices, S.data, flat, rows)
+    def copy_window(window, elo, ehi):
+        np.copyto(window, local[:, elo:ehi])
 
-    _split(scatter_rows, index.n_nodes, threads)
-    return r
+    return _scatter_blocks(index, copy_window, threads, r)
 
 
 def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
              work: Workspace | None = None) -> npt.NDArray[np.float64]:
     """r = b - A x without forming A, into ``work.r`` when a workspace is given.
 
-    First each element range gets its local residuals: for each local row
-    i, zero ``local[i, lo:hi]``, add the element operator's products with
-    ``csr_matvec`` (see ``scatter``) on the zero-copy row slice
-    ``indptr[lo:hi+1]``, then ``b_e - .``.  Then ``scatter`` sums them by
-    node rows.  Each pass splits its range into ``threads`` chunks, run on
-    one long-lived pool.  Every element's and every node's arithmetic is
-    self-contained and in fixed order, so the result is bitwise independent
-    of ``threads`` and equal to ``scatter(index, b_e - A_e x[indt])``.
+    Node block by node block (see ``_scatter_blocks``): for each local row
+    i, zero the window's row, add the element operator's products with
+    ``csr_matvec`` on the zero-copy row slice ``indptr[elo:ehi+1]``, then
+    ``b_e - .``; then sum the block's node rows from the window.  Every
+    element's and every node's arithmetic is self-contained and in fixed
+    order, so the result is bitwise independent of ``threads`` and equal to
+    ``scatter(index, b_e - A_e x[indt])``.  An element whose nodes lie in
+    two blocks is computed once for each.
 
-    Without ``work`` both passes write new arrays; with it they overwrite
-    ``work.local`` and ``work.r`` (shaped for this batch, see ``Workspace``),
+    An ``x`` with a NaN or an infinite entry raises ``NonFiniteError``, a
+    ``ValueError``.  Without ``work`` the result is a new vector; with it,
+    ``work.r`` (shaped for this batch, see ``Workspace``) is overwritten,
     and the result is the same bit for bit.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -218,26 +244,21 @@ def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
     if x.shape != (n_n,):
         raise ValueError(f"x must be a flat global vector of length {n_n}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("x contains non-finite entries")
-    n_e = batch.n_elements
-    data = batch.A_e.transpose(0, 2, 1).reshape(3, 3 * n_e)  # a view
+        raise NonFiniteError("x contains non-finite entries")
+    r = _buffer(None if work is None else work.r, (n_n,), "work.r")
+    if np.may_share_memory(x, r):
+        raise ValueError("x overlaps work.r")
+    data = batch.A_e.transpose(0, 2, 1).reshape(3, -1)  # a view
     cols, ptr, b_e = index.columns, index.indptr, batch.b_e
-    if work is None:
-        work = Workspace.for_batch(batch)
-    local = _buffer(work.local, (3, n_e), "work.local")
-    r = _buffer(work.r, (n_n,), "work.r")
-    if np.may_share_memory(x, local):
-        raise ValueError("x overlaps work.local")
 
-    def local_residuals(lo, hi):
+    def local_residuals(window, elo, ehi):
         for i in range(3):
-            out = local[i, lo:hi]
+            out = window[i]
             out.fill(0.0)
-            csr_matvec(hi - lo, n_n, ptr[lo:hi + 1], cols, data[i], x, out)
-            np.subtract(b_e[i, lo:hi], out, out=out)
+            csr_matvec(ehi - elo, n_n, ptr[elo:ehi + 1], cols, data[i], x, out)
+            np.subtract(b_e[i, elo:ehi], out, out=out)
 
-    _split(local_residuals, n_e, threads)
-    return scatter(index, local, threads, out=r)
+    return _scatter_blocks(index, local_residuals, threads, r)
 
 
 def mask_dirichlet(r: np.ndarray, d: DirichletData) -> npt.NDArray[np.float64]:

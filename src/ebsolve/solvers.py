@@ -2,7 +2,8 @@
 
 All three methods share one loop: at one site per step, the start included,
 compute the residual, zero it at the constrained nodes, record norms and
-test for a stop; then advance the iterate.  They differ only in the step
+test for a stop; then advance the iterate.  The residual's own input check
+is the step's one test for a non-finite iterate.  They differ only in the step
 they take from the current residual:
 
 * richardson      x += omega * r                  with omega = 2/(lam1+lam2)
@@ -16,8 +17,9 @@ its intra-cycle amplification of round-off is a feature under study, not a
 bug to fix here.
 
 A solve allocates its working arrays once: the iterate, one residual
-``Workspace`` that every step's ``residual`` call overwrites, and cheb3's
-direction p.  Each step updates x (and p) in place, using the residual
+``Workspace`` that every step's ``residual`` call overwrites, cheb3's
+direction p and, with a reference solution, the difference whose norm is
+the step's error.  Each step updates x (and p) in place, using the residual
 vector as the scratch for its scaled step, with the same IEEE operations
 as ``x + step * r``, so the iterates are bitwise those of the
 allocating form.  The ``x`` and ``r`` a callback receives are these live
@@ -33,7 +35,8 @@ import numpy as np
 import numpy.typing as npt
 
 from .elements import ElementBatch
-from .operators import DirichletData, Workspace, mask_dirichlet, residual
+from .operators import (DirichletData, NonFiniteError, Workspace, mask_dirichlet,
+                        residual)
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,9 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
     x = np.array(x0, dtype=np.float64, copy=True)
     work = Workspace.for_batch(batch)
     norms = []
-    errors = [] if reference is not None else None
+    errors = None
+    if reference is not None:
+        errors, diff = [], np.empty_like(x)
     stop_reason = "budget"
     t0 = time.perf_counter()
 
@@ -143,16 +148,22 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
         for k in range(iters + 1):
             if k > 0:
                 advance(k - 1, x, r)
-                if not np.all(np.isfinite(x)):
-                    norms.append(float("inf"))
-                    if errors is not None:
-                        errors.append(float("inf"))
-                    stop_reason = "diverged"
-                    break
-            r = mask_dirichlet(residual(batch, x, threads, work=work), dirichlet)
+            try:
+                r = mask_dirichlet(residual(batch, x, threads, work=work), dirichlet)
+            except NonFiniteError:
+                # residual's input check is the step's one test of the
+                # iterate; a non-finite x0 is the caller's error
+                if k == 0:
+                    raise
+                norms.append(float("inf"))
+                if errors is not None:
+                    errors.append(float("inf"))
+                stop_reason = "diverged"
+                break
             norms.append(float(np.linalg.norm(r)))
             if errors is not None:
-                errors.append(float(np.linalg.norm(x - reference)))
+                np.subtract(x, reference, out=diff)
+                errors.append(float(np.linalg.norm(diff)))
             if callback is not None:
                 callback(k, x, r)
             if not np.isfinite(norms[-1]):

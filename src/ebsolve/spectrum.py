@@ -63,7 +63,9 @@ def mass_bounds(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
     inequalities.  The free-node spectrum therefore lies in
     [min s_i / 12, max s_i / 3] over free nodes i (Wathen 1987).  The sums
     s_i add up ``batch.areas``, the areas M_e is built from, with
-    ``operators.scatter``.
+    ``operators.scatter``: each block's window is filled from a broadcast
+    view of the areas, so a plan of several blocks makes no (3, n_e) copy
+    of them.
     """
     index = batch.index
     node_area = scatter(index, np.broadcast_to(batch.areas, index.indt.shape))

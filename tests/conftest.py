@@ -1,5 +1,8 @@
 """Shared builders for the test suite."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 
 from ebsolve import (
@@ -11,6 +14,8 @@ from ebsolve import (
     build_unit_square_mesh,
     constant_dirichlet,
 )
+from ebsolve import mesh
+from ebsolve.mesh import _detect_boundary
 
 
 def make_problem(level, nu=0.0):
@@ -20,6 +25,18 @@ def make_problem(level, nu=0.0):
     d = constant_dirichlet(m, 1.0)
     b = assemble_rhs(batch.b_e, batch.index.indt)
     return m, batch, d, b
+
+
+@contextmanager
+def scatter_blocks(size, slack=np.inf):
+    """Index arrays built inside have ``size``-node scatter blocks.
+
+    By default the windows may overlap without bound, so that small meshes
+    get many blocks, not the one-block fallback.
+    """
+    with mock.patch.object(mesh, "SCATTER_BLOCK", size), \
+            mock.patch.object(mesh, "WINDOW_SLACK", slack):
+        yield
 
 
 def diagonal_batch(diag, load):
@@ -53,3 +70,58 @@ def perturbed_mesh(level, amp, seed):
     shift = np.random.default_rng(seed).uniform(-1.0, 1.0, (interior.size, 2))
     nodes[interior] += amp * h * shift
     return Mesh(nodes, grid.elements, grid.boundary_nodes)
+
+
+def shuffled(m, seed, swaps):
+    """``m`` with ``swaps`` random pairs of elements exchanged (-1: all shuffled)."""
+    rng = np.random.default_rng(seed)
+    order = np.arange(m.n_elements)
+    if swaps < 0:
+        rng.shuffle(order)
+    else:
+        for a, b in rng.integers(0, m.n_elements, (swaps, 2)):
+            order[[a, b]] = order[[b, a]]
+    return Mesh(m.nodes, m.elements[order], m.boundary_nodes)
+
+
+def uniform_refine(m):
+    """Split every triangle into 4 congruent children via edge midpoints.
+
+    The result is renumbered canonically, so that refining a structured
+    mesh equals ``build_unit_square_mesh(level + 1)`` elementwise: nodes
+    sorted lexicographically by (y, x), each triple rotated to start at its
+    smallest node index (orientation preserved), element rows sorted
+    lexicographically.
+    """
+    tri = m.elements
+    # one midpoint per geometric edge: key edges by sorted node pairs
+    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+    edges = np.sort(edges, axis=1)
+    uniq, inv = np.unique(edges, axis=0, return_inverse=True)
+    mid_of_edge = m.n_nodes + inv.reshape(3, -1)  # rows: ab, bc, ca per element
+    mid_coords = 0.5 * (m.nodes[uniq[:, 0]] + m.nodes[uniq[:, 1]])
+    all_nodes = np.vstack([m.nodes, mid_coords])
+
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    ab, bc, ca = mid_of_edge
+    children = np.concatenate([
+        np.column_stack([a, ab, ca]),
+        np.column_stack([ab, b, bc]),
+        np.column_stack([ca, bc, c]),
+        np.column_stack([ab, bc, ca]),
+    ])
+
+    # canonical node numbering: lexicographic by (y, x)
+    order = np.lexsort((all_nodes[:, 0], all_nodes[:, 1]))
+    rank = np.empty(len(all_nodes), dtype=np.int64)
+    rank[order] = np.arange(len(all_nodes))
+    new_nodes = all_nodes[order]
+    children = rank[children]
+
+    # rotate each triple to its smallest index (cyclic, keeps orientation),
+    # then order the rows lexicographically
+    shift = np.argmin(children, axis=1)
+    cols = (shift[:, None] + np.arange(3)) % 3
+    children = np.take_along_axis(children, cols, axis=1)
+    children = children[np.lexsort((children[:, 2], children[:, 1], children[:, 0]))]
+    return Mesh(new_nodes, children, _detect_boundary(new_nodes))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import perturbed_mesh
+from conftest import perturbed_mesh, scatter_blocks, shuffled, uniform_refine
 
 from ebsolve import (
     Mesh,
@@ -14,7 +14,6 @@ from ebsolve import (
     build_grid_mesh,
     build_index_arrays,
     build_unit_square_mesh,
-    uniform_refine,
 )
 from ebsolve import mesh
 from ebsolve.mesh import MAX_LEVEL, signed_areas
@@ -26,7 +25,6 @@ def test_level_counts():
         n = 2**level + 1
         assert m.n_nodes == n * n
         assert m.n_elements == 2 * 4**level
-        assert m.level == level
 
 
 def test_node_numbering_row_major():
@@ -108,7 +106,6 @@ def test_refine_reproduces_generator():
         npt.assert_array_equal(fine.nodes, direct.nodes)
         npt.assert_array_equal(fine.elements, direct.elements)
         npt.assert_array_equal(fine.boundary_nodes, direct.boundary_nodes)
-        assert fine.level == level + 1
 
 
 def test_refine_single_triangle():
@@ -118,7 +115,6 @@ def test_refine_single_triangle():
         boundary_nodes=np.array([0, 1, 2]),
     )
     fine = uniform_refine(m)
-    assert fine.level is None
     assert fine.n_nodes == 6
     assert fine.n_elements == 4
     areas = signed_areas(fine.nodes, fine.elements)
@@ -139,13 +135,6 @@ def test_level_guards():
         build_unit_square_mesh(MAX_LEVEL + 1)
     with pytest.raises(ValueError):
         build_grid_mesh(1)
-
-
-def test_refine_guard_at_max_level():
-    small = build_unit_square_mesh(1)
-    at_cap = Mesh(small.nodes, small.elements, small.boundary_nodes, level=MAX_LEVEL)
-    with pytest.raises(ValueError):
-        uniform_refine(at_cap)
 
 
 def test_mesh_validation():
@@ -185,6 +174,28 @@ def test_mesh_arrays_read_only():
         m.elements[0, 0] = 1
 
 
+def plan_rows(idx):
+    """Each node's positions in ``indt.ravel()``, read back from the scatter plan."""
+    plan = idx.scatter_plan
+    n_e = idx.indt.shape[1]
+    assert plan.indices.dtype == plan.indptr.dtype == np.int32
+    assert np.all(plan.ones == 1.0)
+    rows, end = [], 0
+    for a, b, elo, ehi, indptr, indices in plan.blocks:
+        assert a == end and 0 <= elo <= ehi <= n_e
+        end = b
+        width = ehi - elo
+        assert indptr[0] == 0 and indptr.size == b - a + 1
+        assert indptr[-1] == indices.size <= plan.ones.size
+        assert np.all((indices >= 0) & (indices < 3 * width))
+        i, e = np.divmod(indices, max(width, 1))
+        positions = i * n_e + e + elo
+        rows += [positions[indptr[n]:indptr[n + 1]] for n in range(b - a)]
+    assert end == idx.n_nodes
+    assert max((b.ehi - b.elo for b in plan.blocks), default=0) == plan.window
+    return rows
+
+
 def test_index_arrays():
     m = build_unit_square_mesh(2)
     idx = build_index_arrays(m)
@@ -192,15 +203,16 @@ def test_index_arrays():
     npt.assert_array_equal(idx.indt, m.elements.T)
     # every node appears in at least one element
     npt.assert_array_equal(np.unique(idx.indt), np.arange(m.n_nodes))
-    # the scatter matrix: row n holds the positions of node n in indt.ravel()
-    S = idx.scatter_matrix
+    # the scatter plan: node n's entries are its positions in indt.ravel(),
+    # ascending, whatever the block size; a mesh this small is one block
+    assert len(idx.scatter_plan.blocks) == 1
     flat = idx.indt.ravel()
-    assert S.shape == (m.n_nodes, flat.size)
-    assert S.indices.dtype == np.int32
-    assert np.all(S.data == 1.0)
-    for n in range(m.n_nodes):
-        npt.assert_array_equal(S.indices[S.indptr[n]:S.indptr[n + 1]],
-                               np.flatnonzero(flat == n))
+    for size in (1, 7, 64, mesh.SCATTER_BLOCK):
+        with scatter_blocks(size):
+            idx = build_index_arrays(m)
+        assert len(idx.scatter_plan.blocks) == -(-m.n_nodes // size)
+        for n, positions in enumerate(plan_rows(idx)):
+            npt.assert_array_equal(positions, np.flatnonzero(flat == n))
     # indt is the mesh's int32 connectivity, not a copy of it, whatever the
     # mesh's origin: the generator, refinement, or an int64 array in either
     # order given by hand
@@ -251,7 +263,16 @@ def test_index_arrays_validation():
         IndexArrays(-indt, 3)
     with pytest.raises(ValueError):  # node 2 is not below the node count
         IndexArrays(indt, 2)
-    # nodes that no element references get empty rows of their own
+    # nodes that no element references get empty rows of their own, and a
+    # block of them an empty window
     idx = IndexArrays(indt, 5)
-    assert idx.scatter_matrix.shape == (5, 3)
-    npt.assert_array_equal(idx.scatter_matrix.indptr, [0, 1, 2, 3, 3, 3])
+    (block,) = idx.scatter_plan.blocks
+    assert block[:4] == (0, 5, 0, 1)
+    npt.assert_array_equal(block.indptr, [0, 1, 2, 3, 3, 3])
+    with scatter_blocks(2):
+        plan = IndexArrays(indt, 5).scatter_plan
+    assert [blk[:4] for blk in plan.blocks] == [(0, 2, 0, 1), (2, 4, 0, 1), (4, 5, 0, 0)]
+    npt.assert_array_equal(plan.indptr, [0, 1, 2, 0, 1, 1, 0, 0])
+    assert plan.ones.size == 2
+    # no nodes, no blocks
+    assert IndexArrays(np.empty((3, 0), dtype=np.int32), 0).scatter_plan.blocks == ()

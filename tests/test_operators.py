@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec
 import scipy.sparse as sp
 
-from conftest import make_problem, perturbed_mesh
+from conftest import make_problem, perturbed_mesh, scatter_blocks, shuffled
+from ebsolve import mesh
 from ebsolve.mesh import MAX_THREADS
 
 from ebsolve import (
@@ -46,8 +48,10 @@ def test_scatter_reproduces_assemble_rhs():
     # node 0 of the second mesh is unreferenced: its row of the scatter is empty
     holed = with_unreferenced_node(build_unit_square_mesh(3), first=True)
     rng = np.random.default_rng(2)
-    for mesh in (perturbed_mesh(3, 0.1, 5), holed):
-        batch = build_element_batch(mesh, nu=1.5, f=lambda x, y: np.cos(3.0 * x) - y)
+    for m, size in ((perturbed_mesh(3, 0.1, 5), mesh.SCATTER_BLOCK),
+                    (perturbed_mesh(3, 0.1, 6), 10), (holed, 1)):
+        with scatter_blocks(size):
+            batch = build_element_batch(m, nu=1.5, f=lambda x, y: np.cos(3.0 * x) - y)
         idx = batch.index
         flat = idx.indt.ravel()
         b = assemble_rhs(batch.b_e, idx.indt)
@@ -56,11 +60,11 @@ def test_scatter_reproduces_assemble_rhs():
         for threads in (1, 2, 3):
             assert operators.scatter(idx, batch.b_e, threads).tobytes() == b.tobytes()
             for values in (local, areas):
-                ref = np.bincount(flat, weights=values.ravel(), minlength=mesh.n_nodes)
+                ref = np.bincount(flat, weights=values.ravel(), minlength=m.n_nodes)
                 out = operators.scatter(idx, values, threads)
                 assert out.tobytes() == ref.tobytes()
                 # a given out is overwritten, whatever it held
-                out = np.full(mesh.n_nodes, np.nan)
+                out = np.full(m.n_nodes, np.nan)
                 assert operators.scatter(idx, values, threads, out=out) is out
                 assert out.tobytes() == ref.tobytes()
     assert operators.scatter(idx, local)[0] == 0.0
@@ -133,8 +137,11 @@ def bincount_residual(batch, x):
 
 
 def with_unreferenced_node(m, first):
-    """``m`` plus one node that no element references, numbered first or last."""
-    extra = np.array([[0.5, 0.5 + 0.25 / 2**m.level]])
+    """``m`` plus one node that no element references, numbered first or last.
+
+    It sits a quarter cell above the grid's centre node.
+    """
+    extra = np.array([[0.5, 0.5 + 0.25 * m.nodes[1, 0]]])
     if not first:
         return Mesh(np.vstack([m.nodes, extra]), m.elements, m.boundary_nodes)
     return Mesh(np.vstack([extra, m.nodes]), m.elements + 1, m.boundary_nodes + 1)
@@ -144,8 +151,9 @@ def with_unreferenced_node(m, first):
 @given(kind=st.sampled_from(["perturbed", "grid100", "unreferenced-first",
                              "unreferenced-last"]),
        level=st.integers(2, 4), nu=st.floats(0.0, 100.0),
+       size=st.sampled_from([1, 7, 64, 1000, mesh.SCATTER_BLOCK]),
        seed=st.integers(0, 2**32 - 1))
-def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, seed):
+def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, size, seed):
     if kind == "perturbed":
         m = perturbed_mesh(level, 0.1, seed)
     elif kind == "grid100":
@@ -153,8 +161,9 @@ def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, seed):
     else:
         m = with_unreferenced_node(build_unit_square_mesh(level),
                                    first=kind == "unreferenced-first")
-    batch = build_element_batch(
-        m, nu=nu, f=lambda x, y: np.sin(7.0 * x) + y * y)
+    with scatter_blocks(size):
+        batch = build_element_batch(
+            m, nu=nu, f=lambda x, y: np.sin(7.0 * x) + y * y)
     x = np.random.default_rng(seed).standard_normal(m.n_nodes)
     ref = bincount_residual(batch, x)
     for threads in (1, 2, 3, 4, 8):
@@ -162,6 +171,42 @@ def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, seed):
     if kind.startswith("unreferenced"):
         lone = 0 if kind == "unreferenced-first" else m.n_nodes - 1
         assert ref[lone] == 0.0
+
+
+def plan_windows(indt, n_nodes, size):
+    """Oracle: each ``size``-node block's element window [elo, ehi), by brute force."""
+    windows = []
+    for a in range(0, n_nodes, size):
+        touching = np.flatnonzero(((indt >= a) & (indt < a + size)).any(axis=0))
+        windows.append((a, min(a + size, n_nodes), touching[0], touching[-1] + 1)
+                       if touching.size else (a, min(a + size, n_nodes), 0, 0))
+    return windows
+
+
+@settings(max_examples=30, deadline=None)
+@given(level=st.integers(4, 6), size=st.sampled_from([256, 1024]),
+       swaps=st.sampled_from([-1, 0, 1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_shuffled_elements_stay_within_the_window_slack_or_fall_back(level, size,
+                                                                      swaps, seed):
+    m = shuffled(perturbed_mesh(level, 0.1, seed), seed, swaps)
+    with scatter_blocks(size, slack=mesh.WINDOW_SLACK):
+        batch = build_element_batch(m, nu=2.0, f=lambda x, y: np.exp(x) - y)
+    idx = batch.index
+    n_e = batch.n_elements
+    windows = plan_windows(idx.indt, m.n_nodes, size)
+    plan = [blk[:4] for blk in idx.scatter_plan.blocks]
+    if sum(ehi - elo for *_, elo, ehi in windows) <= mesh.WINDOW_SLACK * n_e:
+        assert plan == windows
+    else:
+        assert plan == [(0, m.n_nodes, 0, n_e)]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(m.n_nodes)
+    local = rng.standard_normal((3, n_e))
+    ref = bincount_residual(batch, x)
+    ref_scatter = np.bincount(idx.indt.ravel(), local.ravel(), minlength=m.n_nodes)
+    for threads in (1, 2, 3):
+        assert residual(batch, x, threads=threads).tobytes() == ref.tobytes()
+        assert operators.scatter(idx, local, threads).tobytes() == ref_scatter.tobytes()
 
 
 def test_residual_reuses_one_pool(monkeypatch):
@@ -184,7 +229,8 @@ def test_residual_reuses_one_pool(monkeypatch):
 def test_concurrent_residuals_share_the_pool():
     # several callers at once on the shared pools, more threads than cores,
     # with frequent switches: every result must still be bitwise serial
-    m, batch, _, _ = make_problem(5)
+    with scatter_blocks(64):
+        m, batch, _, _ = make_problem(5)
     xs = [np.random.default_rng(s).standard_normal(m.n_nodes) for s in range(4)]
     refs = [residual(batch, x).tobytes() for x in xs]
     errors = []
@@ -237,51 +283,71 @@ def test_csr_matvec_contract():
     assert not y[:10].any() and not y[25:].any()
 
 
-def test_residual_into_reused_workspace_matches_fresh_calls_bitwise():
+def test_residual_into_reused_workspace_matches_fresh_calls_bitwise(monkeypatch):
     # a reused workspace starts each call full of the previous call's values,
-    # the first call full of NaN; every entry must be overwritten
+    # the first call full of NaN, and so does every window buffer: every
+    # entry must be written before it is read
     m = perturbed_mesh(4, 0.1, 3)
-    batch = build_element_batch(m, nu=2.5, f=lambda x, y: np.sin(5.0 * x) + y)
+    with scatter_blocks(40):
+        batch = build_element_batch(m, nu=2.5, f=lambda x, y: np.sin(5.0 * x) + y)
+    assert len(batch.index.scatter_plan.blocks) == 8
     rng = np.random.default_rng(8)
     xs = [rng.standard_normal(m.n_nodes) for _ in range(4)]
     fresh = [residual(batch, x).tobytes() for x in xs]
+    monkeypatch.setattr(np, "empty", lambda *a, **k: np.full(*a, np.nan, **k))
+    assert np.isnan(np.empty(3)).all()
     for threads in (1, 2, 3):
         work = Workspace.for_batch(batch)
-        work.local.fill(np.nan)
-        work.r.fill(np.nan)
+        assert np.isnan(work.r).all()
         for x, ref in zip(xs, fresh):
             r = residual(batch, x, threads, work=work)
             assert r is work.r
             assert r.tobytes() == ref
-            assert not np.isnan(work.local).any()
 
 
 def test_workspace_validation():
     m, batch, _, _ = make_problem(2)
     x = np.zeros(m.n_nodes)
-    n_e, n_n = batch.n_elements, m.n_nodes
-    wrong = [
-        Workspace(np.empty((3, n_e + 1)), np.empty(n_n)),
-        Workspace(np.empty((3, n_e)), np.empty(n_n + 1)),
-        Workspace(np.empty((3, n_e), dtype=np.float32), np.empty(n_n)),
-        Workspace(np.empty((3, n_e), order="F"), np.empty(n_n)),
-        Workspace(np.empty((3, n_e)), np.empty(2 * n_n)[::2]),
-    ]
+    n_n = m.n_nodes
     frozen = np.empty(n_n)
     frozen.setflags(write=False)
-    wrong.append(Workspace(np.empty((3, n_e)), frozen))
-    for work in wrong:
+    wrong = [np.empty(n_n + 1), np.empty(n_n, dtype=np.float32),
+             np.empty((n_n, 1)), np.empty(2 * n_n)[::2], frozen]
+    for r in wrong:
         with pytest.raises(ValueError, match="C-contiguous float64"):
-            residual(batch, x, work=work)
+            residual(batch, x, work=Workspace(r))
     # adjacent slices of one buffer do not overlap
-    shared = np.empty(3 * n_e + n_n)
-    adjacent = Workspace(shared[:3 * n_e].reshape(3, n_e), shared[3 * n_e:])
-    assert residual(batch, x, work=adjacent).tobytes() == residual(batch, x).tobytes()
-    local = np.empty(3 * n_e)
+    shared = np.empty(2 * n_n)
+    x = shared[:n_n]
+    x[:] = np.linspace(0.0, 1.0, n_n)
+    ref = residual(batch, x.copy())
+    assert residual(batch, x, work=Workspace(shared[n_n:])).tobytes() == ref.tobytes()
+    # the result is written block by block while x is still read
+    with pytest.raises(ValueError, match="overlaps work.r"):
+        residual(batch, x, work=Workspace(x))
+    with pytest.raises(ValueError, match="overlaps work.r"):
+        residual(batch, shared[1:n_n + 1], work=Workspace(shared[n_n:]))
+    local = np.empty(3 * batch.n_elements)
     with pytest.raises(ValueError, match="overlaps local"):
-        operators.scatter(batch.index, local.reshape(3, n_e), out=local[:n_n])
-    with pytest.raises(ValueError, match="overlaps work.local"):
-        residual(batch, local[:n_n], work=Workspace(local.reshape(3, n_e), np.empty(n_n)))
+        operators.scatter(batch.index, local.reshape(3, -1), out=local[:n_n])
+
+
+def test_one_residual_call_allocates_less_than_one_element_array():
+    # level 9: 263169 nodes, 524288 elements, 9 blocks; the (3, n_e) element
+    # residuals the blocked pass replaces would be 12.6 MB
+    m, batch, _, _ = make_problem(9)
+    assert len(batch.index.scatter_plan.blocks) == 9
+    x = np.random.default_rng(1).standard_normal(m.n_nodes)
+    local_bytes = 3 * batch.n_elements * 8
+    for threads in (1, 2):
+        residual(batch, x, threads)  # the pool exists before tracing starts
+        tracemalloc.start()
+        try:
+            r = residual(batch, x, threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.nbytes < peak < local_bytes
 
 
 def test_thread_count_outside_cap_raises_before_any_pool(monkeypatch):

@@ -351,19 +351,59 @@ def test_one_residual_call_per_recorded_norm(monkeypatch):
     good = model_eigen_bounds(9)
     # an infinite step size makes the first iterate non-finite
     infinite_step = SpectralBounds(0.0, 1e-320)
-    cases = [  # x0, bounds, iters, tol, stop reason, residual calls - norms
-        (ones, good, 20, None, "budget", 0),
-        (ones, good, 500, 1e-6, "tol", 0),
-        (ones, SpectralBounds(2.0, 3.0), 5000, None, "diverged", 0),
-        (overflowing, good, 20, 1e-6, "diverged", 0),
-        (ones, infinite_step, 20, None, "diverged", -1),
+    # residual's input check is what finds a non-finite iterate, so that
+    # case calls it once for its recorded inf as well
+    cases = [  # x0, bounds, iters, tol, stop reason
+        (ones, good, 20, None, "budget"),
+        (ones, good, 500, 1e-6, "tol"),
+        (ones, SpectralBounds(2.0, 3.0), 5000, None, "diverged"),
+        (overflowing, good, 20, 1e-6, "diverged"),
+        (ones, infinite_step, 20, None, "diverged"),
     ]
-    for x0, bounds, iters, tol, reason, offset in cases:
+    for x0, bounds, iters, tol, reason in cases:
         for solver, extra in ((richardson, ()), (chebyshev2, (4,)), (chebyshev3, ())):
             calls.clear()
             _, hist = solver(batch, d, x0, bounds, *extra, iters, tol=tol)
             assert hist.stop_reason == reason, (solver.__name__, reason)
-            assert len(calls) == len(hist.residual_norms) + offset
+            assert len(calls) == len(hist.residual_norms)
+
+
+def test_one_finite_check_of_the_iterate_per_step(monkeypatch):
+    m, batch, d, _ = make_problem(3)
+    u = reference_solution(batch, d)
+    checked = []
+    isfinite = np.isfinite
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == (m.n_nodes,):
+            checked.append(None)
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    ones = np.ones(m.n_nodes)
+    for bounds, reason in ((model_eigen_bounds(9), "budget"),
+                           (SpectralBounds(0.0, 1e-320), "diverged")):
+        for solver, extra in ((richardson, ()), (chebyshev2, (4,)), (chebyshev3, ())):
+            checked.clear()
+            _, hist = solver(batch, d, ones, bounds, *extra, 20, reference=u)
+            assert hist.stop_reason == reason
+            assert len(checked) == len(hist.residual_norms)
+    # a non-finite start is still the caller's error
+    bad = ones.copy()
+    bad[40] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        richardson(batch, d, bad, model_eigen_bounds(9), 5)
+
+
+def test_error_norms_are_the_norms_of_each_iterate_minus_the_reference():
+    m, batch, d, _ = make_problem(3, nu=2.0)
+    u = reference_solution(batch, d)
+    bounds = operator_bounds(batch, d, 9)
+    for solver, extra in ((richardson, ()), (chebyshev2, (4,)), (chebyshev3, ())):
+        _, hist, xs = collect_iterates(solver, batch, d, np.ones(m.n_nodes), bounds,
+                                       *extra, 15, reference=u)
+        expected = [np.linalg.norm(x - u) for x in xs]
+        assert hist.error_norms.tobytes() == np.array(expected).tobytes()
 
 
 def test_every_step_writes_into_one_workspace(monkeypatch):
@@ -384,7 +424,7 @@ def test_every_step_writes_into_one_workspace(monkeypatch):
         x, hist = solver(batch, d, x0, bounds, *extra, 12)
         assert len(calls) == len(hist.residual_norms) == 13
         work = calls[0][0]
-        assert work.local.shape == (3, batch.n_elements)
+        assert work.r.shape == (m.n_nodes,)
         for w, r, xk in calls:
             assert w is work and r is work.r and xk is x
     assert x0.tolist() == [1.0] * m.n_nodes

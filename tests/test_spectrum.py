@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -110,6 +112,20 @@ def test_mass_bounds_count_the_last_node_when_no_element_references_it():
     # constrained, it leaves the grid's interval unchanged
     nd = np.append(grid.boundary_nodes, m.n_nodes - 1)
     assert mass_bounds(batch, DirichletData(nd, np.ones(nd.size))) == grid_bounds
+
+
+def test_mass_bounds_copy_no_element_array():
+    # level 9: the broadcast areas were once copied to a (3, n_e) array
+    # (12.6 MB) to be summed; each block's window now reads them directly
+    m, batch, d, _ = make_problem(9)
+    ref = mass_bounds(batch, d)
+    tracemalloc.start()
+    try:
+        assert mass_bounds(batch, d) == ref
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * batch.n_elements * 8
 
 
 def test_operator_bounds_pure_stiffness():
