@@ -12,17 +12,12 @@ from .elements import (
     local_mass_batch,
     local_stiffness_batch,
 )
-from .mesh import (
-    IndexArrays,
-    Mesh,
-    build_grid_mesh,
-    build_index_arrays,
-    build_unit_square_mesh,
-)
+from .mesh import Mesh, build_grid_mesh, build_unit_square_mesh
 from .operators import (
     DirichletData,
-    Workspace,
+    IndexArrays,
     assemble_rhs,
+    build_index_arrays,
     constant_dirichlet,
     mask_dirichlet,
     residual,
@@ -53,7 +48,6 @@ __all__ = [
     "IndexArrays",
     "Mesh",
     "SpectralBounds",
-    "Workspace",
     "assemble_rhs",
     "assemble_sparse",
     "build_element_batch",

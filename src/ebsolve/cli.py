@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .elements import ElementBatch, build_element_batch
-from .mesh import MAX_LEVEL, MAX_THREADS, Mesh, build_unit_square_mesh
-from .operators import assemble_rhs, constant_dirichlet
+from .mesh import MAX_LEVEL, Mesh, build_unit_square_mesh
+from .operators import MAX_THREADS, assemble_rhs, constant_dirichlet
 from .reference import assemble_sparse, solve_reference
 from .solvers import ConvergenceHistory, chebyshev2, chebyshev3, richardson
 from .spectrum import operator_bounds
@@ -29,6 +29,11 @@ ITERATIVE_SOLVERS = ("richardson", "cheb2", "cheb3")
 SOLVER_CHOICES = ITERATIVE_SOLVERS + ("direct", "all")
 
 BOUNDARY_VALUE = 1.0
+
+# cheb2 holds its N roots as one float64 array: 2**20 roots are 8 MB, and a
+# mistyped --cycle-n far above that would fail allocating them only after
+# the whole problem is built
+MAX_CYCLE_N = 2**20
 
 
 @dataclass
@@ -88,8 +93,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"--iters must be nonnegative (got {cfg.iters})")
     if not (np.isfinite(cfg.nu) and cfg.nu >= 0):
         problems.append(f"--nu must be finite and nonnegative (got {cfg.nu})")
-    if cfg.cycle_n < 1:
-        problems.append(f"--cycle-n must be at least 1 (got {cfg.cycle_n})")
+    if not 1 <= cfg.cycle_n <= MAX_CYCLE_N:
+        problems.append(f"--cycle-n must be between 1 and {MAX_CYCLE_N} (got {cfg.cycle_n})")
     if not 1 <= cfg.threads <= MAX_THREADS:
         problems.append(f"--threads must be between 1 and {MAX_THREADS} (got {cfg.threads})")
     if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol > 0):
@@ -126,7 +131,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     bounds = None
     if solvers:
-        bounds = operator_bounds(batch, dirichlet, 2**cfg.level + 1)
+        bounds = operator_bounds(batch, dirichlet)
 
     need_reference = cfg.compare_direct or cfg.solver in ("direct", "all")
     reference = None
@@ -263,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=SOLVER_CHOICES, default=defaults.solver,
                    help="which solver(s) to run (default %(default)s)")
     p.add_argument("--cycle-n", type=int, default=defaults.cycle_n,
-                   help="two-level Chebyshev cycle length N (default %(default)s)")
+                   help=f"two-level Chebyshev cycle length N, at most {MAX_CYCLE_N} "
+                        "(default %(default)s)")
     p.add_argument("--tol", type=float, default=defaults.tol,
                    help="optional early stop at ||r^k|| <= tol*||r^0||")
     p.add_argument("--threads", type=int, default=defaults.threads,

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .mesh import IndexArrays, Mesh, build_index_arrays, corner_blocks
+from .mesh import Mesh, corner_blocks
+from .operators import IndexArrays, build_index_arrays
 
 EPS_AREA = 1e-14
 

@@ -8,31 +8,21 @@ All coordinates are dyadic rationals for the level-based sizes, which keeps
 element areas exact.
 
 Connectivity is held once, as int32 in C order (one node triple per row).
-The element operator reads it three ways without copying: ``elements.T`` is
-the (3, n_e) gather array ``indt``, ``elements.ravel()`` the column array of
-the per-row element CSR matrices, and the node-blocked scatter plan is built
-from it.
-``IndexArrays`` holds these structures only; the kernels that run on them,
-``operators.residual`` and ``operators.scatter``, live with the operator.
+The element operator reads it without copying: ``operators.IndexArrays``
+holds ``elements.T`` as its (3, n_e) gather array ``indt`` and builds its
+scatter plan from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
-from scipy.sparse._sparsetools import coo_tocsr
 
 # Levels above this exhaust address space long before they are useful
 # (level 12 already means ~33.5M triangles).
 MAX_LEVEL = 12
-
-# The residual starts one pool thread per extra thread and is memory-bound,
-# so counts far above a machine's cores only add threads; this ceiling
-# keeps a mistyped --threads from starting thousands of them.
-MAX_THREADS = 64
 
 _BOUNDARY_TOL = 1e-12
 
@@ -47,20 +37,6 @@ INDEX_MAX = np.iinfo(np.int32).max
 # full-width int64 ones; the whole batch build ~0.5 s, against ~0.9 s for
 # full-width geometry.
 GATHER_BLOCK = 16384
-
-# Nodes per block of the node-blocked scatter (``ScatterPlan``), whatever
-# the thread count.  A block of grid rows touches about two elements per
-# node, so its window of local residuals, 3 x ~65536 doubles (1.6 MB) per
-# thread, is still in cache when the scatter reads it back; the (3, n_e)
-# array it replaces is 50 MB at level 10.  Level 10 has 33 blocks, each
-# element computed x1.031 times on average; level 8 has 3 (x1.008), and
-# meshes up to level 7 are one block.
-SCATTER_BLOCK = 32768
-
-# A plan whose windows together cover more than this many times n_e
-# elements is built as one block instead: with the elements shuffled, the
-# level-8 windows overlap to x9 the element work.
-WINDOW_SLACK = 1.1
 
 
 def as_index_array(values, name: str) -> np.ndarray:
@@ -81,8 +57,9 @@ class Mesh:
     ``elements`` holds one counterclockwise node-index triple per row, as
     a C-contiguous int32 (n_e, 3) array: ``elements.ravel()`` lists each
     element's three nodes in turn, the column array of the element
-    operator, and ``build_index_arrays`` shares the array rather than
-    copying it.  Meshes with more nodes than int32 can index are rejected.
+    operator, and ``operators.build_index_arrays`` shares the array rather
+    than copying it.  Meshes with more nodes than int32 can index are
+    rejected.
     """
 
     nodes: npt.NDArray[np.float64]
@@ -122,141 +99,6 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
-
-
-class ScatterBlock(NamedTuple):
-    """Node rows [a, b) of a ``ScatterPlan`` and their element window [elo, ehi)."""
-
-    a: int
-    b: int
-    elo: int
-    ehi: int
-    indptr: npt.NDArray[np.int32]
-    indices: npt.NDArray[np.int32]
-
-
-@dataclass(frozen=True)
-class ScatterPlan:
-    """The node-row scatter precomputed from ``indt`` alone, MATLAB's
-    ``accumarray`` split into blocks of ``SCATTER_BLOCK`` nodes.
-
-    Node n's entries are its positions p = i*n_e + e in ``indt.ravel()``,
-    in ascending order.  The rows [a, b) of a block reference only the
-    elements of its window [elo, ehi), W = ehi - elo, so ``indices`` holds
-    each position rebased to the window, i*W + e - elo: an index into the
-    (3, W) local values of the window's elements.  Each block's row pointer
-    is rebased to 0 too (block k's sits at ``indptr[a+k:b+k+1]``), so one
-    shared array of ``ones``, as long as the largest block's entry count,
-    is the CSR data of every block.  ``blocks`` holds the bounds and
-    zero-copy views of both arrays per block.  When the windows together
-    cover more than ``WINDOW_SLACK * n_e`` elements (elements in poor
-    order), the plan is one block over all nodes, whose window is every
-    element.
-    """
-
-    indptr: npt.NDArray[np.int32]
-    indices: npt.NDArray[np.int32]
-    ones: npt.NDArray[np.float64]
-    blocks: tuple[ScatterBlock, ...]
-
-    @property
-    def window(self) -> int:
-        """The largest window, W elements."""
-        return max((blk.ehi - blk.elo for blk in self.blocks), default=0)
-
-
-def _scatter_plan(indt: np.ndarray, n_nodes: int) -> ScatterPlan:
-    n_e = indt.shape[1]
-    flat = indt.ravel()
-    # COO -> CSR is a counting sort, so each node row keeps its positions in
-    # ascending order; its 0/1 values are int8 scratch, then dropped
-    ptr = np.empty(n_nodes + 1, dtype=np.int32)
-    indices = np.empty(flat.size, dtype=np.int32)
-    coo_tocsr(n_nodes, flat.size, flat.size, flat, np.arange(flat.size, dtype=np.int32),
-              np.ones(flat.size, dtype=np.int8), ptr, indices,
-              np.empty(flat.size, dtype=np.int8))
-
-    rows = list(range(0, n_nodes, SCATTER_BLOCK)) + [n_nodes]
-    windows = []
-    for a, b in zip(rows, rows[1:]):
-        positions = indices[ptr[a]:ptr[b]]
-        if positions.size == 0:
-            windows.append((0, 0))
-            continue
-        e = positions // n_e
-        e *= n_e
-        np.subtract(positions, e, out=e)  # the element of each position
-        windows.append((int(e.min()), int(e.max()) + 1))
-    if sum(hi - lo for lo, hi in windows) > WINDOW_SLACK * n_e:
-        rows, windows = [0, n_nodes], [(0, n_e)]
-
-    block_ptr = np.empty(n_nodes + len(windows), dtype=np.int32)
-    spans = []
-    for k, (a, b, (elo, ehi)) in enumerate(zip(rows, rows[1:], windows)):
-        lo, hi = int(ptr[a]), int(ptr[b])
-        positions = indices[lo:hi]
-        shift = positions // n_e
-        shift *= n_e - (ehi - elo)
-        shift += elo
-        positions -= shift  # i*n_e + e  ->  i*W + e - elo
-        np.subtract(ptr[a:b + 1], lo, out=block_ptr[a + k:b + k + 1])
-        spans.append((a, b, elo, ehi, lo, hi))
-    ones = np.ones(max((hi - lo for *_, lo, hi in spans), default=0))
-    for arr in (block_ptr, indices, ones):
-        arr.setflags(write=False)
-    blocks = tuple(ScatterBlock(a, b, elo, ehi, block_ptr[a + k:b + k + 1], indices[lo:hi])
-                   for k, (a, b, elo, ehi, lo, hi) in enumerate(spans))
-    return ScatterPlan(block_ptr, indices, ones, blocks)
-
-
-@dataclass(frozen=True)
-class IndexArrays:
-    """Gather/scatter index array replacing explicit connectivity matrices.
-
-    ``indt`` has shape (3, n_e); column e holds the global indices of
-    element e's nodes, each below ``n_nodes``.  It is int32 and the
-    transpose of a C-contiguous (n_e, 3) array, normally ``Mesh.elements``
-    itself, so ``columns`` (= ``indt.T.ravel()``) is a view of it too.
-
-    The element operator is, for each local row i, a CSR matrix with one
-    row per element: row e holds element e's three entries ``A_e[i, :, e]``
-    at the columns ``columns[3e:3e+3]``, with the row pointer ``indptr``
-    (0, 3, 6, ...).  It holds element rows, not assembled ones.
-
-    ``scatter_plan`` is the node-blocked scatter (see ``ScatterPlan``): for
-    each block of node rows, the element window its entries lie in and the
-    entries as positions in that window.  It holds connectivity only, no
-    element values; ``operators`` sums with it.
-    """
-
-    indt: npt.NDArray[np.int32]
-    n_nodes: int
-    indptr: npt.NDArray[np.int32] = field(init=False, repr=False, compare=False)
-    scatter_plan: ScatterPlan = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        indt = as_index_array(self.indt, "indt")
-        if indt.ndim != 2 or indt.shape[0] != 3:
-            raise ValueError(f"indt must have shape (3, n_e), got {indt.shape}")
-        if indt.size and (indt.min() < 0 or indt.max() >= self.n_nodes):
-            raise ValueError(f"indt references nodes outside 0..{self.n_nodes - 1}")
-        if self.n_nodes > INDEX_MAX or indt.size > INDEX_MAX:
-            raise ValueError(f"{self.n_nodes} nodes and {indt.shape[1]} elements "
-                             "exceed the int32 index range")
-        # no copy when indt already is the transposed int32 connectivity
-        indt = np.ascontiguousarray(indt.T, dtype=np.int32).T
-        indt.setflags(write=False)
-        object.__setattr__(self, "indt", indt)
-        n_e = indt.shape[1]
-        indptr = np.arange(0, 3 * n_e + 1, 3, dtype=np.int32)
-        indptr.setflags(write=False)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "scatter_plan", _scatter_plan(indt, self.n_nodes))
-
-    @property
-    def columns(self) -> npt.NDArray[np.int32]:
-        """Element e's nodes at positions 3e..3e+2: a view of the connectivity."""
-        return self.indt.T.reshape(-1)
 
 
 def corner_blocks(elements: np.ndarray):
@@ -315,11 +157,3 @@ def _detect_boundary(nodes: np.ndarray) -> npt.NDArray[np.int64]:
     near = np.abs(nodes) <= _BOUNDARY_TOL
     far = np.abs(nodes - 1.0) <= _BOUNDARY_TOL
     return np.flatnonzero((near | far).any(axis=1)).astype(np.int64)
-
-
-def build_index_arrays(m: Mesh) -> IndexArrays:
-    """Gather/scatter index array for a mesh: column e holds element e's nodes.
-
-    ``indt`` is a view of ``m.elements``, not a copy.
-    """
-    return IndexArrays(m.elements.T, m.n_nodes)

@@ -1,4 +1,5 @@
-"""Matrix-free residual evaluation and Dirichlet handling.
+"""The element operator: its index layout, the matrix-free residual and
+Dirichlet handling.
 
 The global system matrix is never formed here.  A residual is computed
 element by element,
@@ -9,7 +10,7 @@ in scipy's compiled CSR matrix-vector loop, node block by node block.  For
 each local row i the element operator is a CSR matrix with one row per
 element (data ``A_e[i, :, e]``, columns element e's nodes, see
 ``IndexArrays``); its product with x is the gather and the local 3x3
-product in one pass.  For each block of ``mesh.SCATTER_BLOCK`` node rows,
+product in one pass.  For each block of ``SCATTER_BLOCK`` node rows,
 ``residual`` computes the local residuals of the block's element window
 into a per-thread buffer of 3*W doubles (~1.6 MB at level 10), then sums
 the block's rows from it with the index array's ``ScatterPlan`` (MATLAB's
@@ -17,14 +18,13 @@ the block's rows from it with the index array's ``ScatterPlan`` (MATLAB's
 never formed).  No (3, n_e) array of element residuals is ever stored, and
 every pass runs on zero-copy slices of the stored arrays.  ``residual`` is
 the only implementation of this operator, and the blocked pass in
-``_scatter_blocks`` the only node-row scatter: ``scatter`` (and through it
-``mass_bounds``) fills the windows from its own (3, n_e) input.  Global
-vectors are 1-D float64 of length n_n.
+``_scatter_blocks``, the plan's only reader, the only node-row scatter:
+``scatter`` (and through it ``mass_bounds``) fills the windows from its own
+(3, n_e) input.  Global vectors are 1-D float64 of length n_n.
 
-A call without a ``Workspace`` allocates its result.  A solve allocates
-one ``Workspace`` and passes it to every step's ``residual`` call, which
-then overwrites the same vector; the arithmetic, and so every bit of the
-result, is the same.
+A ``residual`` call without ``out`` allocates its result.  A solve
+allocates one vector and passes it as ``out`` to every step, which then
+overwrites it; the arithmetic, and so every bit of the result, is the same.
 
 Dirichlet conditions are enforced by masking: residual entries at
 constrained nodes are zeroed every iteration, so a conforming iterate never
@@ -34,15 +34,180 @@ moves off its prescribed boundary values.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import numpy.typing as npt
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import coo_tocsr, csr_matvec
 
-from .elements import ElementBatch
-from .mesh import MAX_THREADS, IndexArrays, Mesh, as_index_array
+from .mesh import INDEX_MAX, Mesh, as_index_array
+
+if TYPE_CHECKING:
+    from .elements import ElementBatch
+
+# The residual starts one pool thread per extra thread and is memory-bound,
+# so counts far above a machine's cores only add threads; this ceiling
+# keeps a mistyped --threads from starting thousands of them.
+MAX_THREADS = 64
+
+# Nodes per block of the node-blocked scatter (``ScatterPlan``), whatever
+# the thread count.  A block of grid rows touches about two elements per
+# node, so its window of local residuals, 3 x ~65536 doubles (1.6 MB) per
+# thread, is still in cache when the scatter reads it back; the (3, n_e)
+# array it replaces is 50 MB at level 10.  Level 10 has 33 blocks, each
+# element computed x1.031 times on average; level 8 has 3 (x1.008), and
+# meshes up to level 7 are one block.
+SCATTER_BLOCK = 32768
+
+# A plan whose windows together cover more than this many times n_e
+# elements is built as one block instead: with the elements shuffled, the
+# level-8 windows overlap to x9 the element work.
+WINDOW_SLACK = 1.1
+
+
+class ScatterBlock(NamedTuple):
+    """Node rows [a, b) of a ``ScatterPlan`` and their element window [elo, ehi)."""
+
+    a: int
+    b: int
+    elo: int
+    ehi: int
+    indptr: npt.NDArray[np.int32]
+    indices: npt.NDArray[np.int32]
+
+
+@dataclass(frozen=True)
+class ScatterPlan:
+    """The node-row scatter precomputed from ``indt`` alone, MATLAB's
+    ``accumarray`` split into blocks of ``SCATTER_BLOCK`` nodes.
+
+    Node n's entries are its positions p = i*n_e + e in ``indt.ravel()``,
+    in ascending order.  The rows [a, b) of a block reference only the
+    elements of its window [elo, ehi), W = ehi - elo, so ``indices`` holds
+    each position rebased to the window, i*W + e - elo: an index into the
+    (3, W) local values of the window's elements.  Each block's row pointer
+    is rebased to 0 too (block k's sits at ``indptr[a+k:b+k+1]``), so one
+    shared array of ``ones``, as long as the largest block's entry count,
+    is the CSR data of every block.  ``blocks`` holds the bounds and
+    zero-copy views of both arrays per block.  When the windows together
+    cover more than ``WINDOW_SLACK * n_e`` elements (elements in poor
+    order), the plan is one block over all nodes, whose window is every
+    element.
+    """
+
+    indptr: npt.NDArray[np.int32]
+    indices: npt.NDArray[np.int32]
+    ones: npt.NDArray[np.float64]
+    blocks: tuple[ScatterBlock, ...]
+
+    @property
+    def window(self) -> int:
+        """The largest window, W elements."""
+        return max((blk.ehi - blk.elo for blk in self.blocks), default=0)
+
+
+def _scatter_plan(indt: np.ndarray, n_nodes: int) -> ScatterPlan:
+    n_e = indt.shape[1]
+    flat = indt.ravel()
+    # COO -> CSR is a counting sort, so each node row keeps its positions in
+    # ascending order; its 0/1 values are int8 scratch, then dropped
+    ptr = np.empty(n_nodes + 1, dtype=np.int32)
+    indices = np.empty(flat.size, dtype=np.int32)
+    coo_tocsr(n_nodes, flat.size, flat.size, flat, np.arange(flat.size, dtype=np.int32),
+              np.ones(flat.size, dtype=np.int8), ptr, indices,
+              np.empty(flat.size, dtype=np.int8))
+
+    rows = list(range(0, n_nodes, SCATTER_BLOCK)) + [n_nodes]
+    windows = []
+    for a, b in zip(rows, rows[1:]):
+        positions = indices[ptr[a]:ptr[b]]
+        if positions.size == 0:
+            windows.append((0, 0))
+            continue
+        e = positions // n_e
+        e *= n_e
+        np.subtract(positions, e, out=e)  # the element of each position
+        windows.append((int(e.min()), int(e.max()) + 1))
+    if sum(hi - lo for lo, hi in windows) > WINDOW_SLACK * n_e:
+        rows, windows = [0, n_nodes], [(0, n_e)]
+
+    block_ptr = np.empty(n_nodes + len(windows), dtype=np.int32)
+    spans = []
+    for k, (a, b, (elo, ehi)) in enumerate(zip(rows, rows[1:], windows)):
+        lo, hi = int(ptr[a]), int(ptr[b])
+        positions = indices[lo:hi]
+        shift = positions // n_e
+        shift *= n_e - (ehi - elo)
+        shift += elo
+        positions -= shift  # i*n_e + e  ->  i*W + e - elo
+        np.subtract(ptr[a:b + 1], lo, out=block_ptr[a + k:b + k + 1])
+        spans.append((a, b, elo, ehi, lo, hi))
+    ones = np.ones(max((hi - lo for *_, lo, hi in spans), default=0))
+    for arr in (block_ptr, indices, ones):
+        arr.setflags(write=False)
+    blocks = tuple(ScatterBlock(a, b, elo, ehi, block_ptr[a + k:b + k + 1], indices[lo:hi])
+                   for k, (a, b, elo, ehi, lo, hi) in enumerate(spans))
+    return ScatterPlan(block_ptr, indices, ones, blocks)
+
+
+@dataclass(frozen=True)
+class IndexArrays:
+    """Gather/scatter index array replacing explicit connectivity matrices.
+
+    ``indt`` has shape (3, n_e); column e holds the global indices of
+    element e's nodes, each below ``n_nodes``.  It is int32 and the
+    transpose of a C-contiguous (n_e, 3) array, normally ``Mesh.elements``
+    itself, so ``columns`` (= ``indt.T.ravel()``) is a view of it too.
+
+    The element operator is, for each local row i, a CSR matrix with one
+    row per element: row e holds element e's three entries ``A_e[i, :, e]``
+    at the columns ``columns[3e:3e+3]``, with the row pointer ``indptr``
+    (0, 3, 6, ...).  It holds element rows, not assembled ones.
+
+    ``scatter_plan`` is the node-blocked scatter (see ``ScatterPlan``): for
+    each block of node rows, the element window its entries lie in and the
+    entries as positions in that window.  It holds connectivity only, no
+    element values; ``_scatter_blocks`` sums with it.
+    """
+
+    indt: npt.NDArray[np.int32]
+    n_nodes: int
+    indptr: npt.NDArray[np.int32] = field(init=False, repr=False, compare=False)
+    scatter_plan: ScatterPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        indt = as_index_array(self.indt, "indt")
+        if indt.ndim != 2 or indt.shape[0] != 3:
+            raise ValueError(f"indt must have shape (3, n_e), got {indt.shape}")
+        if indt.size and (indt.min() < 0 or indt.max() >= self.n_nodes):
+            raise ValueError(f"indt references nodes outside 0..{self.n_nodes - 1}")
+        if self.n_nodes > INDEX_MAX or indt.size > INDEX_MAX:
+            raise ValueError(f"{self.n_nodes} nodes and {indt.shape[1]} elements "
+                             "exceed the int32 index range")
+        # no copy when indt already is the transposed int32 connectivity
+        indt = np.ascontiguousarray(indt.T, dtype=np.int32).T
+        indt.setflags(write=False)
+        object.__setattr__(self, "indt", indt)
+        n_e = indt.shape[1]
+        indptr = np.arange(0, 3 * n_e + 1, 3, dtype=np.int32)
+        indptr.setflags(write=False)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "scatter_plan", _scatter_plan(indt, self.n_nodes))
+
+    @property
+    def columns(self) -> npt.NDArray[np.int32]:
+        """Element e's nodes at positions 3e..3e+2: a view of the connectivity."""
+        return self.indt.T.reshape(-1)
+
+
+def build_index_arrays(m: Mesh) -> IndexArrays:
+    """Gather/scatter index array for a mesh: column e holds element e's nodes.
+
+    ``indt`` is a view of ``m.elements``, not a copy.
+    """
+    return IndexArrays(m.elements.T, m.n_nodes)
 
 
 @dataclass(frozen=True)
@@ -117,35 +282,9 @@ class NonFiniteError(ValueError):
     """``residual`` was given an x with a NaN or an infinite entry."""
 
 
-@dataclass(frozen=True)
-class Workspace:
-    """The length-n_n result ``r`` that one ``residual`` call writes.
-
-    ``residual(batch, x, work=w)`` overwrites it and returns ``w.r``, so a
-    solve that passes one workspace to every step allocates it once.
-    """
-
-    r: npt.NDArray[np.float64]
-
-    @classmethod
-    def for_batch(cls, batch: ElementBatch) -> Workspace:
-        return cls(np.empty(batch.index.n_nodes))
-
-
-def _buffer(a: np.ndarray | None, shape: tuple, name: str) -> npt.NDArray[np.float64]:
-    """``a`` checked as an output the compiled loops can write in place, or a new array."""
-    if a is None:
-        return np.empty(shape)
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
-            and a.flags.c_contiguous and a.flags.writeable):
-        raise ValueError(f"{name} must be a writeable C-contiguous float64 array "
-                         f"of shape {shape}")
-    return a
-
-
 @cache
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """One long-lived pool per size, shared by every residual and scatter call."""
+    """One long-lived pool per size, shared by every residual call."""
     return ThreadPoolExecutor(max_workers=workers)
 
 
@@ -197,32 +336,26 @@ def _scatter_blocks(index: IndexArrays, fill, threads: int,
     return r
 
 
-def scatter(index: IndexArrays, local: np.ndarray, threads: int = 1,
-            out: np.ndarray | None = None) -> npt.NDArray[np.float64]:
-    """Sum the (3, n_e) local contributions into a global vector of length n_nodes.
+def scatter(index: IndexArrays, local: np.ndarray) -> npt.NDArray[np.float64]:
+    """Sum the (3, n_e) local contributions into a new vector of length n_nodes.
 
-    The sum is written into ``out`` (a writeable C-contiguous float64 vector
-    of length n_nodes, overwritten and returned) or into a new vector.  Each
-    block's window is copied from ``local``, which may be any (3, n_e)
+    Each block's window is copied from ``local``, which may be any (3, n_e)
     array, a broadcast view included: only a one-block plan copies it
-    whole.  For any ``threads`` the result is bitwise equal to
+    whole.  The result is bitwise equal to
     ``np.bincount(indt.ravel(), local.ravel(), minlength=n_nodes)``.
     """
     if local.shape != index.indt.shape:
         raise ValueError(f"shape mismatch: local {local.shape} vs indt {index.indt.shape}")
-    r = _buffer(out, (index.n_nodes,), "out")
-    if np.may_share_memory(local, r):
-        raise ValueError("out overlaps local")
 
     def copy_window(window, elo, ehi):
         np.copyto(window, local[:, elo:ehi])
 
-    return _scatter_blocks(index, copy_window, threads, r)
+    return _scatter_blocks(index, copy_window, 1, np.empty(index.n_nodes))
 
 
 def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
-             work: Workspace | None = None) -> npt.NDArray[np.float64]:
-    """r = b - A x without forming A, into ``work.r`` when a workspace is given.
+             out: np.ndarray | None = None) -> npt.NDArray[np.float64]:
+    """r = b - A x without forming A, into ``out`` when it is given.
 
     Node block by node block (see ``_scatter_blocks``): for each local row
     i, zero the window's row, add the element operator's products with
@@ -234,9 +367,10 @@ def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
     two blocks is computed once for each.
 
     An ``x`` with a NaN or an infinite entry raises ``NonFiniteError``, a
-    ``ValueError``.  Without ``work`` the result is a new vector; with it,
-    ``work.r`` (shaped for this batch, see ``Workspace``) is overwritten,
-    and the result is the same bit for bit.
+    ``ValueError``.  Without ``out`` the result is a new vector; with it,
+    ``out`` (a writeable C-contiguous float64 vector of length n_nodes that
+    does not overlap ``x``) is overwritten and returned, and the result is
+    the same bit for bit.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     index = batch.index
@@ -245,20 +379,26 @@ def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
         raise ValueError(f"x must be a flat global vector of length {n_n}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("x contains non-finite entries")
-    r = _buffer(None if work is None else work.r, (n_n,), "work.r")
-    if np.may_share_memory(x, r):
-        raise ValueError("x overlaps work.r")
+    if out is None:
+        out = np.empty(n_n)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == (n_n,) and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be a writeable C-contiguous float64 vector "
+                         f"of length {n_n}")
+    # the result is written block by block while x is still read
+    if np.may_share_memory(x, out):
+        raise ValueError("x overlaps out")
     data = batch.A_e.transpose(0, 2, 1).reshape(3, -1)  # a view
     cols, ptr, b_e = index.columns, index.indptr, batch.b_e
 
     def local_residuals(window, elo, ehi):
         for i in range(3):
-            out = window[i]
-            out.fill(0.0)
-            csr_matvec(ehi - elo, n_n, ptr[elo:ehi + 1], cols, data[i], x, out)
-            np.subtract(b_e[i, elo:ehi], out, out=out)
+            row = window[i]
+            row.fill(0.0)
+            csr_matvec(ehi - elo, n_n, ptr[elo:ehi + 1], cols, data[i], x, row)
+            np.subtract(b_e[i, elo:ehi], row, out=row)
 
-    return _scatter_blocks(index, local_residuals, threads, r)
+    return _scatter_blocks(index, local_residuals, threads, out)
 
 
 def mask_dirichlet(r: np.ndarray, d: DirichletData) -> npt.NDArray[np.float64]:

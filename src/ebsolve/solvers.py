@@ -17,11 +17,11 @@ its intra-cycle amplification of round-off is a feature under study, not a
 bug to fix here.
 
 A solve allocates its working arrays once: the iterate, one residual
-``Workspace`` that every step's ``residual`` call overwrites, cheb3's
-direction p and, with a reference solution, the difference whose norm is
-the step's error.  Each step updates x (and p) in place, using the residual
-vector as the scratch for its scaled step, with the same IEEE operations
-as ``x + step * r``, so the iterates are bitwise those of the
+vector that every step's ``residual`` call overwrites (its ``out``),
+cheb3's direction p and, with a reference solution, the difference whose
+norm is the step's error.  Each step updates x (and p) in place, using the
+residual vector as the scratch for its scaled step, with the same IEEE
+operations as ``x + step * r``, so the iterates are bitwise those of the
 allocating form.  The ``x`` and ``r`` a callback receives are these live
 buffers: the next step overwrites them, so copy what should be kept.
 """
@@ -35,8 +35,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .elements import ElementBatch
-from .operators import (DirichletData, NonFiniteError, Workspace, mask_dirichlet,
-                        residual)
+from .operators import DirichletData, NonFiniteError, mask_dirichlet, residual
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class ConvergenceHistory:
     residual_norms[k] is ||r^k||_2 for k = 0..iters (one entry more than the
     number of steps, since the residual after the final update is recorded
     too).  error_norms tracks ||x^k - reference||_2 when a reference
-    solution was supplied.  stop_reason says why the loop ended:
+    solution, of x0's shape, was supplied.  stop_reason says why the loop ended:
     "diverged" when the iterate or its residual norm turned non-finite
     (at step 0 too), "tol" when the last residual norm met the relative
     tolerance, otherwise "budget" (the step count ran out).
@@ -132,9 +131,13 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
     overwrite r, which the next residual call refills."""
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
+    if reference is not None and np.shape(reference) != np.shape(x0):
+        # a broadcasting reference would make every error norm a norm of x
+        raise ValueError(f"reference must have the shape of x0, {np.shape(x0)}, "
+                         f"got {np.shape(reference)}")
     dirichlet.check_nodes(batch.index.n_nodes)
     x = np.array(x0, dtype=np.float64, copy=True)
-    work = Workspace.for_batch(batch)
+    r = np.empty(batch.index.n_nodes)
     norms = []
     errors = None
     if reference is not None:
@@ -149,7 +152,7 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
             if k > 0:
                 advance(k - 1, x, r)
             try:
-                r = mask_dirichlet(residual(batch, x, threads, work=work), dirichlet)
+                r = mask_dirichlet(residual(batch, x, threads, out=r), dirichlet)
             except NonFiniteError:
                 # residual's input check is the step's one test of the
                 # iterate; a non-finite x0 is the caller's error

@@ -15,10 +15,12 @@ lambda_max(K + nu*M) <= lambda2 + nu*m_hi, where [m_lo, m_hi] encloses the
 free-node mass spectrum by element-wise bounds (Wathen 1987).  The interval
 is guaranteed to enclose the spectrum and costs one pass over the elements.
 Both cases take lambda1 and lambda2 from the closed form above, so they
-assume the structured grid with n nodes per side.
+assume the structured grid; n is read from the batch's node count.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 import numpy.typing as npt
@@ -77,7 +79,7 @@ def mass_bounds(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
     return float(s.min()) / 12.0, float(s.max()) / 3.0
 
 
-def operator_bounds(batch: ElementBatch, d: DirichletData, n: int) -> SpectralBounds:
+def operator_bounds(batch: ElementBatch, d: DirichletData) -> SpectralBounds:
     """Spectral bounds for the experiment operator A = K + nu*M, nu = ``batch.nu``.
 
     nu = 0 uses the closed-form model interval [lambda1_K, 8 - lambda1_K].
@@ -87,8 +89,13 @@ def operator_bounds(batch: ElementBatch, d: DirichletData, n: int) -> SpectralBo
         [lambda1_K + nu*m_lo, (8 - lambda1_K) + nu*m_hi],
 
     which encloses the free-node spectrum by construction.  Both branches
-    assume that the batch is the structured grid with n nodes per side.
+    assume that the batch is the structured grid with n nodes per side,
+    n = sqrt(n_nodes); a node count that is not a square raises.
     """
+    n_nodes = batch.index.n_nodes
+    n = isqrt(n_nodes)
+    if n * n != n_nodes:
+        raise ValueError(f"{n_nodes} nodes do not form a square grid")
     nu = batch.nu
     base = model_eigen_bounds(n)
     if nu == 0.0:

@@ -14,7 +14,7 @@ from ebsolve import (
     build_unit_square_mesh,
     constant_dirichlet,
 )
-from ebsolve import mesh
+from ebsolve import operators
 from ebsolve.mesh import _detect_boundary
 
 
@@ -34,8 +34,8 @@ def scatter_blocks(size, slack=np.inf):
     By default the windows may overlap without bound, so that small meshes
     get many blocks, not the one-block fallback.
     """
-    with mock.patch.object(mesh, "SCATTER_BLOCK", size), \
-            mock.patch.object(mesh, "WINDOW_SLACK", slack):
+    with mock.patch.object(operators, "SCATTER_BLOCK", size), \
+            mock.patch.object(operators, "WINDOW_SLACK", slack):
         yield
 
 

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from ebsolve import SpectralBounds, build_unit_square_mesh
-from ebsolve.mesh import MAX_THREADS
+from ebsolve.operators import MAX_THREADS
 from ebsolve.cli import (
     ExperimentConfig,
     _validate,
@@ -87,6 +87,21 @@ def test_main_rejects_too_many_threads(capsys):
     assert main(["--level", "2", "--iters", "1", "--solver", "richardson",
                  "--threads", "100000"]) == 2
     assert f"between 1 and {MAX_THREADS}" in capsys.readouterr().err
+
+
+def test_main_rejects_a_cycle_length_above_the_cap(monkeypatch, capsys):
+    # rejected before any mesh is built, so no root array is ever allocated
+    import ebsolve.cli as cli
+
+    def no_mesh(level):
+        raise AssertionError(f"a level-{level} mesh was built")
+
+    monkeypatch.setattr(cli, "build_unit_square_mesh", no_mesh)
+    assert _validate(ExperimentConfig(cycle_n=cli.MAX_CYCLE_N)) == []
+    assert _validate(ExperimentConfig(cycle_n=cli.MAX_CYCLE_N + 1))
+    assert main(["--level", "2", "--solver", "cheb2",
+                 "--cycle-n", "1000000000000"]) == 2
+    assert f"between 1 and {cli.MAX_CYCLE_N}" in capsys.readouterr().err
 
 
 def test_main_rejects_nonfinite_numerics(capsys):
@@ -258,34 +273,57 @@ def test_package_entry_point_without_warnings():
     assert "cheb3" in proc.stdout
 
 
-def test_run_experiment_calls_through_module_attributes(monkeypatch):
+def test_run_experiment_calls_through_module_attributes(monkeypatch, tmp_path):
     # perfbench's tracer times these calls by wrapping the module attributes
     # the callers look up, and measures setup up to the first solver call; a
     # caller that bound them any other way would drop out of its spans
     import ebsolve.cli as cli
     import ebsolve.solvers as solvers
 
-    calls = []
+    calls, results = [], {}
 
     def counting(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            results[name] = result
+            return result
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("richardson", "chebyshev2", "chebyshev3", "operator_bounds"):
+    setup = ("build_unit_square_mesh", "build_element_batch", "constant_dirichlet",
+             "operator_bounds", "assemble_sparse", "assemble_rhs", "solve_reference")
+    solver_names = ("richardson", "chebyshev2", "chebyshev3")
+    for name in setup + solver_names:
+        counting(cli, name)
+    for name in ("export_history", "export_solution"):
         counting(cli, name)
     for name in ("residual", "mask_dirichlet"):
         counting(solvers, name)
 
-    run_experiment(ExperimentConfig(level=3, iters=4, solver="all"))
-    for name in ("richardson", "chebyshev2", "chebyshev3", "operator_bounds"):
-        assert calls.count(name) == 1
-    assert calls.count("residual") > 0
-    assert calls.count("mask_dirichlet") > 0
-    # bounds come before any solver, and no residual runs before the first
-    assert calls.index("operator_bounds") < calls.index("richardson")
-    assert calls.index("richardson") < calls.index("residual")
+    seen = []
+    original_cheb3 = cli.chebyshev3
+
+    def cheb3_seeing_bounds(batch, d, x0, bounds, *args, **kwargs):
+        seen.append(bounds)
+        return original_cheb3(batch, d, x0, bounds, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "chebyshev3", cheb3_seeing_bounds)
+    report = run_experiment(ExperimentConfig(level=3, iters=4, solver="all",
+                                             compare_direct=True, out_dir=str(tmp_path)))
+    for name in setup + solver_names:
+        assert calls.count(name) == 1, name
+    assert calls.count("export_history") == 3
+    assert calls.count("export_solution") == 4
+    assert calls.count("residual") == 3 * 5
+    assert calls.count("mask_dirichlet") == 3 * 5
+    # cheb3 steps with the interval that the looked-up operator_bounds returned
+    assert seen == [results["operator_bounds"]]
+    assert report.bounds == (seen[0].lambda1, seen[0].lambda2)
+    # setup comes before any solver, and no residual runs before the first
+    first_solver = calls.index("richardson")
+    assert max(calls.index(name) for name in setup) < first_solver
+    assert first_solver < calls.index("residual")
+    assert calls.index("chebyshev3") < calls.index("export_history")

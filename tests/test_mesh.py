@@ -15,7 +15,7 @@ from ebsolve import (
     build_index_arrays,
     build_unit_square_mesh,
 )
-from ebsolve import mesh
+from ebsolve import mesh, operators
 from ebsolve.mesh import MAX_LEVEL, signed_areas
 
 
@@ -207,7 +207,7 @@ def test_index_arrays():
     # ascending, whatever the block size; a mesh this small is one block
     assert len(idx.scatter_plan.blocks) == 1
     flat = idx.indt.ravel()
-    for size in (1, 7, 64, mesh.SCATTER_BLOCK):
+    for size in (1, 7, 64, operators.SCATTER_BLOCK):
         with scatter_blocks(size):
             idx = build_index_arrays(m)
         assert len(idx.scatter_plan.blocks) == -(-m.n_nodes // size)

@@ -11,13 +11,11 @@ from scipy.sparse._sparsetools import csr_matvec
 import scipy.sparse as sp
 
 from conftest import make_problem, perturbed_mesh, scatter_blocks, shuffled
-from ebsolve import mesh
-from ebsolve.mesh import MAX_THREADS
+from ebsolve.operators import MAX_THREADS, SCATTER_BLOCK, WINDOW_SLACK
 
 from ebsolve import (
     DirichletData,
     Mesh,
-    Workspace,
     assemble_rhs,
     assemble_sparse,
     build_element_batch,
@@ -48,7 +46,7 @@ def test_scatter_reproduces_assemble_rhs():
     # node 0 of the second mesh is unreferenced: its row of the scatter is empty
     holed = with_unreferenced_node(build_unit_square_mesh(3), first=True)
     rng = np.random.default_rng(2)
-    for m, size in ((perturbed_mesh(3, 0.1, 5), mesh.SCATTER_BLOCK),
+    for m, size in ((perturbed_mesh(3, 0.1, 5), SCATTER_BLOCK),
                     (perturbed_mesh(3, 0.1, 6), 10), (holed, 1)):
         with scatter_blocks(size):
             batch = build_element_batch(m, nu=1.5, f=lambda x, y: np.cos(3.0 * x) - y)
@@ -57,16 +55,10 @@ def test_scatter_reproduces_assemble_rhs():
         b = assemble_rhs(batch.b_e, idx.indt)
         local = rng.standard_normal(idx.indt.shape)
         areas = np.broadcast_to(batch.areas, idx.indt.shape)
-        for threads in (1, 2, 3):
-            assert operators.scatter(idx, batch.b_e, threads).tobytes() == b.tobytes()
-            for values in (local, areas):
-                ref = np.bincount(flat, weights=values.ravel(), minlength=m.n_nodes)
-                out = operators.scatter(idx, values, threads)
-                assert out.tobytes() == ref.tobytes()
-                # a given out is overwritten, whatever it held
-                out = np.full(m.n_nodes, np.nan)
-                assert operators.scatter(idx, values, threads, out=out) is out
-                assert out.tobytes() == ref.tobytes()
+        assert operators.scatter(idx, batch.b_e).tobytes() == b.tobytes()
+        for values in (local, areas):
+            ref = np.bincount(flat, weights=values.ravel(), minlength=m.n_nodes)
+            assert operators.scatter(idx, values).tobytes() == ref.tobytes()
     assert operators.scatter(idx, local)[0] == 0.0
     with pytest.raises(ValueError, match="shape mismatch"):
         operators.scatter(idx, np.ones((3, 2)))
@@ -151,7 +143,7 @@ def with_unreferenced_node(m, first):
 @given(kind=st.sampled_from(["perturbed", "grid100", "unreferenced-first",
                              "unreferenced-last"]),
        level=st.integers(2, 4), nu=st.floats(0.0, 100.0),
-       size=st.sampled_from([1, 7, 64, 1000, mesh.SCATTER_BLOCK]),
+       size=st.sampled_from([1, 7, 64, 1000, SCATTER_BLOCK]),
        seed=st.integers(0, 2**32 - 1))
 def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, size, seed):
     if kind == "perturbed":
@@ -189,13 +181,13 @@ def plan_windows(indt, n_nodes, size):
 def test_shuffled_elements_stay_within_the_window_slack_or_fall_back(level, size,
                                                                       swaps, seed):
     m = shuffled(perturbed_mesh(level, 0.1, seed), seed, swaps)
-    with scatter_blocks(size, slack=mesh.WINDOW_SLACK):
+    with scatter_blocks(size, slack=WINDOW_SLACK):
         batch = build_element_batch(m, nu=2.0, f=lambda x, y: np.exp(x) - y)
     idx = batch.index
     n_e = batch.n_elements
     windows = plan_windows(idx.indt, m.n_nodes, size)
     plan = [blk[:4] for blk in idx.scatter_plan.blocks]
-    if sum(ehi - elo for *_, elo, ehi in windows) <= mesh.WINDOW_SLACK * n_e:
+    if sum(ehi - elo for *_, elo, ehi in windows) <= WINDOW_SLACK * n_e:
         assert plan == windows
     else:
         assert plan == [(0, m.n_nodes, 0, n_e)]
@@ -206,7 +198,7 @@ def test_shuffled_elements_stay_within_the_window_slack_or_fall_back(level, size
     ref_scatter = np.bincount(idx.indt.ravel(), local.ravel(), minlength=m.n_nodes)
     for threads in (1, 2, 3):
         assert residual(batch, x, threads=threads).tobytes() == ref.tobytes()
-        assert operators.scatter(idx, local, threads).tobytes() == ref_scatter.tobytes()
+    assert operators.scatter(idx, local).tobytes() == ref_scatter.tobytes()
 
 
 def test_residual_reuses_one_pool(monkeypatch):
@@ -284,9 +276,9 @@ def test_csr_matvec_contract():
 
 
 def test_residual_into_reused_workspace_matches_fresh_calls_bitwise(monkeypatch):
-    # a reused workspace starts each call full of the previous call's values,
-    # the first call full of NaN, and so does every window buffer: every
-    # entry must be written before it is read
+    # a reused out vector starts each call full of the previous call's
+    # values, the first call full of NaN, and so does every window buffer:
+    # every entry must be written before it is read
     m = perturbed_mesh(4, 0.1, 3)
     with scatter_blocks(40):
         batch = build_element_batch(m, nu=2.5, f=lambda x, y: np.sin(5.0 * x) + y)
@@ -297,11 +289,11 @@ def test_residual_into_reused_workspace_matches_fresh_calls_bitwise(monkeypatch)
     monkeypatch.setattr(np, "empty", lambda *a, **k: np.full(*a, np.nan, **k))
     assert np.isnan(np.empty(3)).all()
     for threads in (1, 2, 3):
-        work = Workspace.for_batch(batch)
-        assert np.isnan(work.r).all()
+        out = np.empty(m.n_nodes)
+        assert np.isnan(out).all()
         for x, ref in zip(xs, fresh):
-            r = residual(batch, x, threads, work=work)
-            assert r is work.r
+            r = residual(batch, x, threads, out=out)
+            assert r is out
             assert r.tobytes() == ref
 
 
@@ -315,21 +307,18 @@ def test_workspace_validation():
              np.empty((n_n, 1)), np.empty(2 * n_n)[::2], frozen]
     for r in wrong:
         with pytest.raises(ValueError, match="C-contiguous float64"):
-            residual(batch, x, work=Workspace(r))
+            residual(batch, x, out=r)
     # adjacent slices of one buffer do not overlap
     shared = np.empty(2 * n_n)
     x = shared[:n_n]
     x[:] = np.linspace(0.0, 1.0, n_n)
     ref = residual(batch, x.copy())
-    assert residual(batch, x, work=Workspace(shared[n_n:])).tobytes() == ref.tobytes()
+    assert residual(batch, x, out=shared[n_n:]).tobytes() == ref.tobytes()
     # the result is written block by block while x is still read
-    with pytest.raises(ValueError, match="overlaps work.r"):
-        residual(batch, x, work=Workspace(x))
-    with pytest.raises(ValueError, match="overlaps work.r"):
-        residual(batch, shared[1:n_n + 1], work=Workspace(shared[n_n:]))
-    local = np.empty(3 * batch.n_elements)
-    with pytest.raises(ValueError, match="overlaps local"):
-        operators.scatter(batch.index, local.reshape(3, -1), out=local[:n_n])
+    with pytest.raises(ValueError, match="x overlaps out"):
+        residual(batch, x, out=x)
+    with pytest.raises(ValueError, match="x overlaps out"):
+        residual(batch, shared[1:n_n + 1], out=shared[n_n:])
 
 
 def test_one_residual_call_allocates_less_than_one_element_array():
@@ -361,8 +350,6 @@ def test_thread_count_outside_cap_raises_before_any_pool(monkeypatch):
     for threads in (0, -1, MAX_THREADS + 1):
         with pytest.raises(ValueError, match=f"between 1 and {MAX_THREADS}"):
             residual(batch, x, threads)
-        with pytest.raises(ValueError, match=f"between 1 and {MAX_THREADS}"):
-            operators.scatter(batch.index, batch.b_e, threads)
 
 
 def test_residual_input_validation():

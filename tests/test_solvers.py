@@ -223,7 +223,7 @@ def test_cheb3_residual_envelope_with_mass_term(level, nu, iters):
     # ||r_k|| <= 2 rho^k ||r_0|| holds only if operator_bounds encloses the
     # spectrum; the 1e-12 term covers the round-off floor reached at level 5
     m, batch, d, _ = make_problem(level, nu=nu)
-    bounds = operator_bounds(batch, d, 2**level + 1)
+    bounds = operator_bounds(batch, d)
     _, hist = chebyshev3(batch, d, np.ones(m.n_nodes), bounds, iters)
     rho = ((np.sqrt(bounds.lambda2) - np.sqrt(bounds.lambda1))
            / (np.sqrt(bounds.lambda2) + np.sqrt(bounds.lambda1)))
@@ -398,7 +398,7 @@ def test_one_finite_check_of_the_iterate_per_step(monkeypatch):
 def test_error_norms_are_the_norms_of_each_iterate_minus_the_reference():
     m, batch, d, _ = make_problem(3, nu=2.0)
     u = reference_solution(batch, d)
-    bounds = operator_bounds(batch, d, 9)
+    bounds = operator_bounds(batch, d)
     for solver, extra in ((richardson, ()), (chebyshev2, (4,)), (chebyshev3, ())):
         _, hist, xs = collect_iterates(solver, batch, d, np.ones(m.n_nodes), bounds,
                                        *extra, 15, reference=u)
@@ -406,13 +406,28 @@ def test_error_norms_are_the_norms_of_each_iterate_minus_the_reference():
         assert hist.error_norms.tobytes() == np.array(expected).tobytes()
 
 
+def test_reference_of_another_shape_is_rejected():
+    # a one-entry reference would broadcast against x: every "error norm" ||x||
+    m, batch, d, _ = make_problem(3)
+    x0 = np.ones(m.n_nodes)
+    bounds = model_eigen_bounds(9)
+    wrong = (0.0, np.array([0.0]), np.zeros(m.n_nodes + 1), np.zeros((m.n_nodes, 1)))
+    for solver, extra in ((richardson, ()), (chebyshev2, (4,)), (chebyshev3, ())):
+        for reference in wrong:
+            with pytest.raises(ValueError, match="reference must have the shape of x0"):
+                solver(batch, d, x0, bounds, *extra, 3, reference=reference)
+        # a list of the right length is still accepted
+        _, hist = solver(batch, d, x0, bounds, *extra, 3, reference=[1.0] * m.n_nodes)
+        assert hist.error_norms[0] == 0.0
+
+
 def test_every_step_writes_into_one_workspace(monkeypatch):
     calls = []
     original = ebsolve.solvers.residual
 
-    def recorded(batch, x, threads=1, work=None):
-        r = original(batch, x, threads, work=work)
-        calls.append((work, r, x))
+    def recorded(batch, x, threads=1, out=None):
+        r = original(batch, x, threads, out=out)
+        calls.append((out, r, x))
         return r
 
     monkeypatch.setattr(ebsolve.solvers, "residual", recorded)
@@ -423,10 +438,10 @@ def test_every_step_writes_into_one_workspace(monkeypatch):
         calls.clear()
         x, hist = solver(batch, d, x0, bounds, *extra, 12)
         assert len(calls) == len(hist.residual_norms) == 13
-        work = calls[0][0]
-        assert work.r.shape == (m.n_nodes,)
-        for w, r, xk in calls:
-            assert w is work and r is work.r and xk is x
+        out = calls[0][0]
+        assert out.shape == (m.n_nodes,)
+        for o, r, xk in calls:
+            assert o is out and r is out and xk is x
     assert x0.tolist() == [1.0] * m.n_nodes
 
 

@@ -129,18 +129,39 @@ def test_mass_bounds_copy_no_element_array():
 
 
 def test_operator_bounds_pure_stiffness():
-    _, batch, d, _ = make_problem(3)
-    b = operator_bounds(batch, d, 9)
-    ref = model_eigen_bounds(9)
-    assert b.lambda1 == ref.lambda1
-    assert b.lambda2 == ref.lambda2
+    # n = sqrt(n_nodes) is the grid's 2**level + 1 nodes per side
+    for level in range(1, 9):
+        _, batch, d, _ = make_problem(level)
+        b = operator_bounds(batch, d)
+        ref = model_eigen_bounds(2**level + 1)
+        assert b.lambda1 == ref.lambda1
+        assert b.lambda2 == ref.lambda2
+
+
+@pytest.mark.parametrize("nu", [3.0, 100.0])
+def test_operator_bounds_with_mass_term_are_the_closed_form_plus_weyl(nu):
+    for level in range(1, 9):
+        _, batch, d, _ = make_problem(level, nu=nu)
+        base = model_eigen_bounds(2**level + 1)
+        m_lo, m_hi = mass_bounds(batch, d)
+        b = operator_bounds(batch, d)
+        assert b.lambda1 == base.lambda1 + nu * m_lo
+        assert b.lambda2 == base.lambda2 + nu * m_hi
+
+
+def test_operator_bounds_reject_a_node_count_that_is_not_square():
+    grid = build_grid_mesh(5)
+    m = Mesh(np.vstack([grid.nodes, [[0.5, 0.55]]]), grid.elements, grid.boundary_nodes)
+    for nu in (0.0, 1.0):
+        with pytest.raises(ValueError, match="26 nodes do not form a square grid"):
+            operator_bounds(build_element_batch(m, nu=nu), constant_dirichlet(m))
 
 
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize("nu", [1.0, 10.0])
 def test_operator_bounds_with_mass_term(level, nu):
     m, batch, d, _ = make_problem(level, nu=nu)
-    b = operator_bounds(batch, d, 2**level + 1)
+    b = operator_bounds(batch, d)
     A = assemble_sparse(batch.A_e, batch.index.indt)
     eigs = dense_interior_eigenvalues(A, d)
     assert b.lambda1 <= eigs[0] + 1e-12
