@@ -99,7 +99,8 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
     """Assemble the full batch for a mesh (default source f = 1).
 
     One pass over blocks of ``mesh.GATHER_BLOCK`` elements: each block's
-    corners are gathered once, then give its areas and gradients, its
+    corners are gathered once, by 1-D gathers on the coordinate views
+    ``m.nodes.T``, then give its areas and gradients, its
     A_e = area * G^T G + nu * M_e, written into the storage layout, and its
     load b_e[j] = f(centroid)*area/3 by one-point quadrature.  ``f`` is
     evaluated pointwise, one block of centroids per call; a scalar f is
@@ -115,8 +116,9 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
     store = np.empty((3, n_e, 3))
     areas = np.empty(n_e)
     load = np.empty(n_e)
+    xs, ys = m.nodes.T
     for blk, corners in corner_blocks(m.elements):
-        x, y = m.nodes.T[:, corners]  # x[j, e]: x of the block's element e's node j
+        x, y = xs[corners], ys[corners]  # x[j, e]: x of the block's element e's node j
         a, grads = _geometry(x, y, blk.start)
         k = np.einsum("kie,kje->ije", grads, grads)
         k *= a

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import perturbed_mesh, scatter_blocks, shuffled, uniform_refine
+from conftest import (
+    detect_boundary,
+    perturbed_mesh,
+    scatter_blocks,
+    shuffled,
+    uniform_refine,
+)
 
 from ebsolve import (
     Mesh,
@@ -44,6 +51,54 @@ def test_cell_split_orientation():
     m = build_unit_square_mesh(1)
     npt.assert_array_equal(m.elements[0], [0, 1, 4])
     npt.assert_array_equal(m.elements[1], [0, 4, 3])
+
+
+def meshgrid_construction(n):
+    """Reference: the grid from int64 meshgrids and a coordinate boundary scan."""
+    ticks = np.arange(n, dtype=np.float64) / (n - 1)
+    xx, yy = np.meshgrid(ticks, ticks)
+    nodes = np.column_stack([xx.ravel(), yy.ravel()])
+    ix, iy = np.meshgrid(np.arange(n - 1), np.arange(n - 1))
+    ll = (iy * n + ix).ravel()
+    elements = np.empty((2 * len(ll), 3), dtype=np.int32)
+    elements[0::2] = np.column_stack([ll, ll + 1, ll + n + 1])
+    elements[1::2] = np.column_stack([ll, ll + n + 1, ll + n])
+    return nodes, elements, detect_boundary(nodes)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 257])
+def test_grid_generator_matches_meshgrid_construction_bitwise(n):
+    m = build_grid_mesh(n)
+    for got, want in zip((m.nodes, m.elements, m.boundary_nodes), meshgrid_construction(n)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_grid_build_forms_no_full_width_temporaries():
+    # int64 meshgrids, stacked columns, a boundary scan and a full-width
+    # areas array beside the mesh peaked at 2.99x
+    tracemalloc.start()
+    try:
+        m = build_unit_square_mesh(9)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained >= m.nodes.nbytes + m.elements.nbytes
+    assert peak <= 1.3 * retained
+
+
+def test_grid_beyond_int32_is_rejected_before_anything_is_allocated():
+    # iy*n + ix is computed in int32 and would wrap once n*n > INDEX_MAX
+    with mock.patch.object(mesh, "INDEX_MAX", 400**2 - 1):
+        assert build_grid_mesh(399).n_nodes == 399**2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="int32"):
+                build_grid_mesh(400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 100_000  # the nodes alone would be 2.56 MB
 
 
 def test_areas_exact():
@@ -147,6 +202,16 @@ def test_mesh_validation():
         Mesh(nodes, np.array([[0, 1, 2]]), np.array([7]))
     with pytest.raises(ValueError):  # bad shape
         Mesh(nodes[:, :1], np.array([[0, 1, 2]]), np.array([0]))
+
+
+@pytest.mark.parametrize("block", [7, mesh.GATHER_BLOCK])
+def test_clockwise_element_in_any_block_is_rejected(block):
+    m = perturbed_mesh(3, 0.1, 2)
+    elements = m.elements.copy()
+    elements[100] = elements[100, ::-1]
+    with mock.patch.object(mesh, "GATHER_BLOCK", block), \
+            pytest.raises(ValueError, match="counterclockwise"):
+        Mesh(m.nodes, elements, m.boundary_nodes)
 
 
 def test_non_integer_indices_are_rejected():

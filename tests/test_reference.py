@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse.linalg
 
 import ebsolve.reference
 from conftest import make_problem
@@ -113,6 +116,25 @@ def test_cg_fallback_matches_direct(monkeypatch):
     monkeypatch.setattr(ebsolve.reference, "_DIRECT_LIMIT", 10)
     u_cg = solve_reference(A, b, d)
     npt.assert_allclose(u_cg, u_direct, atol=1e-9)
+
+
+@pytest.mark.parametrize("nu", [0.0, 100.0])
+@pytest.mark.parametrize("level", range(3, 8))
+def test_minimum_degree_solve_agrees_with_colamd(level, nu):
+    # the direct solve orders by minimum degree on A's symmetric pattern;
+    # SuperLU's default COLAMD gives the same solution up to round-off
+    m, batch, d, b = make_problem(level, nu=nu)
+    A = assemble_sparse(batch.A_e, batch.index.indt).tocsr()
+    with mock.patch.object(scipy.sparse.linalg, "spsolve",
+                           wraps=scipy.sparse.linalg.spsolve) as spsolve:
+        u = solve_reference(A, b, d)
+    assert spsolve.call_args.kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+    free = np.setdiff1d(np.arange(m.n_nodes), d.nd)
+    rhs = b[free] - A[free][:, d.nd] @ d.values
+    ref = u.copy()
+    ref[free] = scipy.sparse.linalg.spsolve(A[free][:, free].tocsc(), rhs, permc_spec="COLAMD")
+    assert np.all(u[d.nd] == d.values)
+    npt.assert_allclose(u, ref, rtol=1e-12, atol=0.0)
 
 
 def test_dense_eigenvalues_level1():
