@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .elements import ElementBatch, build_element_batch
+from .elements import build_element_batch
 from .mesh import MAX_LEVEL, Mesh, build_unit_square_mesh
 from .operators import MAX_THREADS, assemble_rhs, constant_dirichlet
 from .reference import assemble_sparse, solve_reference

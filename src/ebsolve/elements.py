@@ -2,14 +2,16 @@
 
 Local quantities are indexed as 3-index arrays of shape (n_b, n_b, n_e)
 with n_b = 3, and ``build_element_batch`` computes all of them in one pass
-over blocks of ``mesh.GATHER_BLOCK`` elements, a few array operations per
-block.  The batch's A_e is stored C-contiguous as (3, n_e, 3) and exposed
-as its (3, 3, n_e) transposed view: for each local row i, the n_e triples
-A_e[i, :, e] lie one after another, which is the data array of that row's
-element CSR matrix (see ``IndexArrays``), so the residual kernel streams
-A_e once, in order.  ``local_stiffness_batch`` and ``local_mass_batch`` are
-thin wrappers over that pass and return plain C-contiguous (3, 3, n_e)
-arrays.
+over blocks of ``GATHER_BLOCK`` elements, a few array operations per
+block.  That pass is the library's only geometry code: it computes each
+element's area once and rejects, by global index, any element that is
+clockwise or degenerate.  The batch's A_e is stored C-contiguous as
+(3, n_e, 3) and exposed as its (3, 3, n_e) transposed view: for each local
+row i, the n_e triples A_e[i, :, e] lie one after another, which is the
+data array of that row's element CSR matrix (see ``IndexArrays``), so the
+residual kernel streams A_e once, in order.  ``local_stiffness_batch`` and
+``local_mass_batch`` are thin wrappers over that pass and return plain
+C-contiguous (3, 3, n_e) arrays.
 """
 
 from __future__ import annotations
@@ -19,10 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .mesh import Mesh, corner_blocks
+from .mesh import Mesh
 from .operators import IndexArrays, build_index_arrays
 
 EPS_AREA = 1e-14
+
+# Elements per block of ``build_element_batch``'s pass.  numpy converts an
+# int32 index to intp before it gathers, and a block's corners, geometry
+# and (3, 3, B) einsum scratch (~1.2 MB) stay in cache.  Level 10, on a
+# shared 2-core host: the corner gathers, 1-D on ``x, y = nodes.T``,
+# ~20 ms, against ~100 ms for the mixed index ``nodes.T[:, corners]``; the
+# whole batch build ~0.35 s (index arrays included), against ~0.5 s with
+# the mixed index and ~0.9 s for full-width geometry.
+GATHER_BLOCK = 16384
 
 # exact P1 mass pattern: M_e = area/12 * (ones + eye)
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -71,17 +82,20 @@ def _geometry(x, y, lo: int):
     """Areas and P1 basis gradients of one block of elements.
 
     ``x[j]``, ``y[j]`` hold the coordinates of the block's j-th corners and
-    ``lo`` is the global index of its first element.  A degenerate element
-    is rejected, by global index, before any gradient is formed.  Returns
+    ``lo`` is the global index of its first element.  An element whose area
+    is not above ``EPS_AREA`` (clockwise, degenerate or NaN) is rejected, by
+    global index, before any gradient is formed.  Returns
     (areas, grads) with grads of shape (2, 3, B), C-contiguous: grads[:, j, e]
     is the constant gradient of the basis function attached to local node j.
     """
     det = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])  # 2*area
     areas = 0.5 * det
-    if np.any(areas <= EPS_AREA):
-        worst = int(np.argmin(areas))
+    valid = areas > EPS_AREA  # False for NaN too
+    if not valid.all():
+        e = int(np.argmin(valid))  # the block's first invalid element
         raise ValueError(
-            f"degenerate element {lo + worst}: area {areas[worst]:.3e} <= {EPS_AREA}"
+            f"degenerate element {lo + e}: area {areas[e]:.3e} is not above "
+            f"{EPS_AREA}; elements must be counterclockwise with positive area"
         )
     grads = np.empty((2, 3, len(det)))
     for j in range(3):
@@ -98,7 +112,7 @@ def _mass(areas) -> npt.NDArray[np.float64]:
 def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
     """Assemble the full batch for a mesh (default source f = 1).
 
-    One pass over blocks of ``mesh.GATHER_BLOCK`` elements: each block's
+    One pass over blocks of ``GATHER_BLOCK`` elements: each block's
     corners are gathered once, by 1-D gathers on the coordinate views
     ``m.nodes.T``, then give its areas and gradients, its
     A_e = area * G^T G + nu * M_e, written into the storage layout, and its
@@ -117,9 +131,11 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
     areas = np.empty(n_e)
     load = np.empty(n_e)
     xs, ys = m.nodes.T
-    for blk, corners in corner_blocks(m.elements):
+    for lo in range(0, n_e, GATHER_BLOCK):
+        blk = slice(lo, lo + GATHER_BLOCK)
+        corners = m.elements[blk].T.astype(np.intp)
         x, y = xs[corners], ys[corners]  # x[j, e]: x of the block's element e's node j
-        a, grads = _geometry(x, y, blk.start)
+        a, grads = _geometry(x, y, lo)
         k = np.einsum("kie,kje->ije", grads, grads)
         k *= a
         if nu > 0:

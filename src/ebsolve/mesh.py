@@ -7,10 +7,13 @@ lower-left to the upper-right corner.  Nodes are numbered row by row
 All coordinates are dyadic rationals for the level-based sizes, which keeps
 element areas exact.
 
-Connectivity is held once, as int32 in C order (one node triple per row).
-The element operator reads it without copying: ``operators.IndexArrays``
-holds ``elements.T`` as its (3, n_e) gather array ``indt`` and builds its
-scatter plan from it.
+This module holds topology and structural checks only: shapes, index
+ranges and finite coordinates.  Element geometry (areas, orientation,
+degeneracy) is computed and checked in one place, the block pass of
+``elements.build_element_batch``.  Connectivity is held once, as int32 in
+C order (one node triple per row).  The element operator reads it without
+copying: ``operators.IndexArrays`` holds ``elements.T`` as its (3, n_e)
+gather array ``indt`` and builds its scatter plan from it.
 """
 
 from __future__ import annotations
@@ -26,18 +29,6 @@ MAX_LEVEL = 12
 
 # connectivity, row pointers and scatter positions are int32
 INDEX_MAX = np.iinfo(np.int32).max
-
-# Elements per block, the one block size of every element-wise set-up pass
-# (``signed_areas``, ``Mesh``'s orientation check and
-# ``build_element_batch``).  numpy converts an int32 index to intp before
-# it gathers, and a block's corners, geometry and (3, 3, B) einsum scratch
-# (~1.2 MB) stay in cache.  Level 10, on a shared 2-core host:
-# signed_areas ~40 ms; the batch's corner gathers, 1-D on ``x, y =
-# nodes.T``, ~20 ms, against ~100 ms for the mixed index
-# ``nodes.T[:, corners]``; the whole batch build ~0.35 s (index arrays
-# included), against ~0.5 s with the mixed index and ~0.9 s for
-# full-width geometry.
-GATHER_BLOCK = 16384
 
 
 def as_index_array(values, name: str) -> np.ndarray:
@@ -55,12 +46,14 @@ def as_index_array(values, name: str) -> np.ndarray:
 class Mesh:
     """A triangulation: node coordinates, connectivity and boundary set.
 
-    ``elements`` holds one counterclockwise node-index triple per row, as
-    a C-contiguous int32 (n_e, 3) array: ``elements.ravel()`` lists each
-    element's three nodes in turn, the column array of the element
-    operator, and ``operators.build_index_arrays`` shares the array rather
-    than copying it.  Meshes with more nodes than int32 can index are
-    rejected.
+    ``elements`` holds one node-index triple per row, as a C-contiguous
+    int32 (n_e, 3) array: ``elements.ravel()`` lists each element's three
+    nodes in turn, the column array of the element operator, and
+    ``operators.build_index_arrays`` shares the array rather than copying
+    it.  Non-finite coordinates, out-of-range indices and meshes with more
+    nodes than int32 can index are rejected here; that every triple is
+    counterclockwise with positive area is checked when
+    ``build_element_batch`` computes the areas.
     """
 
     nodes: npt.NDArray[np.float64]
@@ -76,6 +69,8 @@ class Mesh:
             raise ValueError(f"nodes must have shape (n_n, 2), got {nodes.shape}")
         if len(nodes) > INDEX_MAX:
             raise ValueError(f"{len(nodes)} nodes exceed the int32 index range")
+        if not np.isfinite(nodes).all():
+            raise ValueError("nodes must hold finite coordinates")
         nodes = np.ascontiguousarray(nodes)
         if elements.ndim != 2 or elements.shape[1] != 3:
             raise ValueError(f"elements must have shape (n_e, 3), got {elements.shape}")
@@ -83,8 +78,6 @@ class Mesh:
         if elements.size and (elements.min() < 0 or elements.max() >= len(nodes)):
             raise ValueError("element connectivity references nonexistent nodes")
         elements = np.ascontiguousarray(elements, dtype=np.int32)
-        if any(np.any(a <= 0.0) for _, a in _block_areas(nodes, elements)):
-            raise ValueError("all elements must be counterclockwise with positive area")
         if boundary.size and (boundary.min() < 0 or boundary.max() >= len(nodes)):
             raise ValueError("boundary_nodes out of range")
         for arr in (nodes, elements, boundary):
@@ -100,34 +93,6 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
-
-
-def corner_blocks(elements: np.ndarray):
-    """Yield (slice, corners) over consecutive blocks of ``GATHER_BLOCK`` elements.
-
-    ``corners`` is the block's (3, B) intp copy of ``elements[slice].T``:
-    row j holds the blocks' j-th nodes, ready for 1-D gathers.
-    """
-    for lo in range(0, len(elements), GATHER_BLOCK):
-        blk = slice(lo, lo + GATHER_BLOCK)
-        yield blk, elements[blk].T.astype(np.intp)
-
-
-def _block_areas(nodes: np.ndarray, elements: np.ndarray):
-    """Yield (slice, signed areas) over blocks of ``GATHER_BLOCK`` elements."""
-    # one 1-D gather per corner and coordinate, no (n_e, 3, 2) temporary
-    x, y = nodes.T
-    for blk, (a, b, c) in corner_blocks(elements):
-        xa, ya = x[a], y[a]
-        yield blk, 0.5 * ((x[b] - xa) * (y[c] - ya) - (y[b] - ya) * (x[c] - xa))
-
-
-def signed_areas(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Signed area of every triangle (positive for counterclockwise)."""
-    areas = np.empty(len(elements))
-    for blk, a in _block_areas(nodes, elements):
-        areas[blk] = a
-    return areas
 
 
 def build_grid_mesh(n: int) -> Mesh:

@@ -226,6 +226,8 @@ class DirichletData:
         values = np.asarray(self.values, dtype=np.float64)
         if nd.ndim != 1 or values.shape != nd.shape:
             raise ValueError("nd and values must be 1-D arrays of equal length")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
         order = np.argsort(nd)
         nd = nd[order]
         if nd.size and nd[0] < 0:

@@ -55,6 +55,14 @@ def diagonal_batch(diag, load):
     )
 
 
+def stacked_signed_areas(nodes, elements):
+    """Reference signed areas: the (n_e, 3, 2) corner gather, differenced per edge."""
+    p = nodes[elements]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
 def detect_boundary(nodes, tol=1e-12):
     """Nodes within ``tol`` of the unit square's edges, by coordinate scan."""
     near = np.abs(nodes) <= tol

@@ -13,7 +13,6 @@ import numpy.testing as npt
 from conftest import make_problem
 
 from ebsolve import (
-    assemble_rhs,
     assemble_sparse,
     build_element_batch,
     build_grid_mesh,

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import perturbed_mesh
+from conftest import perturbed_mesh, stacked_signed_areas
 
-from ebsolve import mesh
+from ebsolve import elements
 from ebsolve import (
     ElementBatch,
     Mesh,
@@ -19,7 +19,6 @@ from ebsolve import (
     local_mass_batch,
     local_stiffness_batch,
 )
-from ebsolve.mesh import signed_areas
 
 # closed-form local stiffness of the right triangle with legs along the axes;
 # it does not depend on the leg length
@@ -109,9 +108,9 @@ def test_load_matches_mean_centroid_reference():
     m = perturbed_mesh(4, 0.1, 11)
     f = lambda x, y: np.sin(7.0 * x) * np.exp(y)
     centroids = m.nodes[m.elements].mean(axis=1)
-    ref = f(centroids[:, 0], centroids[:, 1]) * signed_areas(m.nodes, m.elements) / 3.0
-    for block in (7, mesh.GATHER_BLOCK):
-        with mock.patch.object(mesh, "GATHER_BLOCK", block):
+    ref = f(centroids[:, 0], centroids[:, 1]) * stacked_signed_areas(m.nodes, m.elements) / 3.0
+    for block in (7, elements.GATHER_BLOCK):
+        with mock.patch.object(elements, "GATHER_BLOCK", block):
             b = build_element_batch(m, f=f).b_e
         for j in range(3):
             assert b[j].tobytes() == ref.tobytes()
@@ -143,7 +142,7 @@ def test_degenerate_triangle_rejected():
 def test_batch_validation():
     m = build_unit_square_mesh(1)
     K = local_stiffness_batch(m)
-    areas = signed_areas(m.nodes, m.elements)
+    areas = stacked_signed_areas(m.nodes, m.elements)
     idx = build_index_arrays(m)
     b = build_element_batch(m).b_e
     with pytest.raises(ValueError):
@@ -230,7 +229,7 @@ def full_width_batch(m, nu, f):
 def test_blocked_A_e_matches_full_width_einsum_bitwise(level, amp, nu, block, seed):
     m = perturbed_mesh(level, amp, seed)
     f = lambda x, y: np.sin(7.0 * x) * np.exp(y)
-    with mock.patch.object(mesh, "GATHER_BLOCK", block):
+    with mock.patch.object(elements, "GATHER_BLOCK", block):
         batch = build_element_batch(m, nu=nu, f=f)
     assert batch.A_e.transpose(0, 2, 1).flags.c_contiguous
     for got, want in zip((batch.A_e, batch.b_e, batch.areas), full_width_batch(m, nu, f)):
@@ -244,11 +243,21 @@ def test_degenerate_element_named_by_global_index(block):
     m = perturbed_mesh(3, 0.1, 5)
     n = m.n_nodes
     nodes = np.vstack([m.nodes, [[2.0, 2.0], [2.0 + 1e-8, 2.0], [2.0, 2.0 + 1e-8]]])
-    elements = np.insert(m.elements, 100, [n, n + 1, n + 2], axis=0)
-    sliver = Mesh(nodes, elements, m.boundary_nodes)
-    with mock.patch.object(mesh, "GATHER_BLOCK", block), \
+    tri = np.insert(m.elements, 100, [n, n + 1, n + 2], axis=0)
+    sliver = Mesh(nodes, tri, m.boundary_nodes)
+    with mock.patch.object(elements, "GATHER_BLOCK", block), \
             pytest.raises(ValueError, match="degenerate element 100:"):
         build_element_batch(sliver)
+
+
+def test_area_that_is_not_a_number_is_rejected():
+    # finite corners whose differences overflow: det = inf*0 - inf*inf = NaN,
+    # which a test for area <= EPS_AREA would let through
+    m = Mesh(np.array([[-1e308, -1e308], [1e308, 1e308], [1e308, -1e308]]),
+             np.array([[0, 1, 2]]), np.array([0]))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="element 0: area nan"):
+        build_element_batch(m)
 
 
 def test_batch_build_forms_no_full_width_temporaries():

@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec
 import scipy.sparse as sp
 
-from conftest import make_problem, perturbed_mesh, scatter_blocks, shuffled
+from conftest import make_problem, perturbed_mesh, scatter_blocks, shuffled, uniform_refine
 from ebsolve.operators import MAX_THREADS, SCATTER_BLOCK, WINDOW_SLACK
 
 from ebsolve import (
     DirichletData,
+    IndexArrays,
     Mesh,
     assemble_rhs,
     assemble_sparse,
     build_element_batch,
     build_grid_mesh,
+    build_index_arrays,
     build_unit_square_mesh,
     constant_dirichlet,
     mask_dirichlet,
@@ -199,6 +201,115 @@ def test_shuffled_elements_stay_within_the_window_slack_or_fall_back(level, size
     for threads in (1, 2, 3):
         assert residual(batch, x, threads=threads).tobytes() == ref.tobytes()
     assert operators.scatter(idx, local).tobytes() == ref_scatter.tobytes()
+
+
+def plan_rows(idx):
+    """Each node's positions in ``indt.ravel()``, read back from the scatter plan."""
+    plan = idx.scatter_plan
+    n_e = idx.indt.shape[1]
+    assert plan.indices.dtype == plan.indptr.dtype == np.int32
+    assert np.all(plan.ones == 1.0)
+    rows, end = [], 0
+    for a, b, elo, ehi, indptr, indices in plan.blocks:
+        assert a == end and 0 <= elo <= ehi <= n_e
+        end = b
+        width = ehi - elo
+        assert indptr[0] == 0 and indptr.size == b - a + 1
+        assert indptr[-1] == indices.size <= plan.ones.size
+        assert np.all((indices >= 0) & (indices < 3 * width))
+        i, e = np.divmod(indices, max(width, 1))
+        positions = i * n_e + e + elo
+        rows += [positions[indptr[n]:indptr[n + 1]] for n in range(b - a)]
+    assert end == idx.n_nodes
+    assert max((b.ehi - b.elo for b in plan.blocks), default=0) == plan.window
+    return rows
+
+
+def test_index_arrays():
+    m = build_unit_square_mesh(2)
+    idx = build_index_arrays(m)
+    assert idx.indt.shape == (3, m.n_elements)
+    npt.assert_array_equal(idx.indt, m.elements.T)
+    # every node appears in at least one element
+    npt.assert_array_equal(np.unique(idx.indt), np.arange(m.n_nodes))
+    # the scatter plan: node n's entries are its positions in indt.ravel(),
+    # ascending, whatever the block size; a mesh this small is one block
+    assert len(idx.scatter_plan.blocks) == 1
+    flat = idx.indt.ravel()
+    for size in (1, 7, 64, operators.SCATTER_BLOCK):
+        with scatter_blocks(size):
+            idx = build_index_arrays(m)
+        assert len(idx.scatter_plan.blocks) == -(-m.n_nodes // size)
+        for n, positions in enumerate(plan_rows(idx)):
+            npt.assert_array_equal(positions, np.flatnonzero(flat == n))
+    # indt is the mesh's int32 connectivity, not a copy of it, whatever the
+    # mesh's origin: the generator, refinement, or an int64 array in either
+    # order given by hand
+    by_hand = [np.ascontiguousarray(m.elements, dtype=np.int64),
+               np.asfortranarray(m.elements, dtype=np.int64)]
+    assert not by_hand[1].flags.c_contiguous
+    meshes = [m, uniform_refine(m)] + [Mesh(m.nodes, e, m.boundary_nodes) for e in by_hand]
+    for case in meshes:
+        idx = build_index_arrays(case)
+        assert idx.indt.dtype == np.int32
+        assert np.shares_memory(idx.indt, case.elements)
+        assert idx.indt.T.flags.c_contiguous
+        npt.assert_array_equal(idx.indt, case.elements.T)
+
+
+def test_connectivity_is_held_once_as_int32():
+    for m in (build_unit_square_mesh(3), uniform_refine(build_unit_square_mesh(2))):
+        assert m.elements.dtype == np.int32
+        assert m.elements.flags.c_contiguous
+        idx = build_index_arrays(m)
+        # the element operator's column array is the connectivity itself
+        assert idx.columns.shape == (3 * m.n_elements,)
+        assert np.shares_memory(idx.columns, m.elements)
+        npt.assert_array_equal(idx.columns, m.elements.ravel())
+        npt.assert_array_equal(idx.indptr, np.arange(0, 3 * m.n_elements + 1, 3))
+        assert idx.indptr.dtype == np.int32
+    # the range is checked before the cast, which would wrap node 2**32 to 0
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="nonexistent"):
+        Mesh(nodes, np.array([[2**32, 1, 2]]), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="outside"):
+        IndexArrays(np.array([[2**32], [1], [2]]), 3)
+    # node counts beyond int32 are rejected before anything is allocated
+    too_many = np.broadcast_to(np.zeros(2), (2**31, 2))
+    with pytest.raises(ValueError, match="int32"):
+        Mesh(too_many, np.array([[0, 1, 2]]), np.array([0]))
+    with pytest.raises(ValueError, match="int32"):
+        IndexArrays(np.array([[0], [1], [2]]), 2**31)
+
+
+def test_index_arrays_validation():
+    indt = np.array([[0], [1], [2]])
+    with pytest.raises(ValueError):
+        IndexArrays(indt.reshape(1, 3), 3)
+    with pytest.raises(ValueError):
+        IndexArrays(indt.reshape(3, 1, 1), 3)
+    with pytest.raises(ValueError):
+        IndexArrays(-indt, 3)
+    with pytest.raises(ValueError):  # node 2 is not below the node count
+        IndexArrays(indt, 2)
+    # nodes that no element references get empty rows of their own, and a
+    # block of them an empty window
+    idx = IndexArrays(indt, 5)
+    (block,) = idx.scatter_plan.blocks
+    assert block[:4] == (0, 5, 0, 1)
+    npt.assert_array_equal(block.indptr, [0, 1, 2, 3, 3, 3])
+    with scatter_blocks(2):
+        plan = IndexArrays(indt, 5).scatter_plan
+    assert [blk[:4] for blk in plan.blocks] == [(0, 2, 0, 1), (2, 4, 0, 1), (4, 5, 0, 0)]
+    npt.assert_array_equal(plan.indptr, [0, 1, 2, 0, 1, 1, 0, 0])
+    assert plan.ones.size == 2
+    # no nodes, no blocks
+    assert IndexArrays(np.empty((3, 0), dtype=np.int32), 0).scatter_plan.blocks == ()
+
+
+def test_non_integer_indt_is_rejected():
+    with pytest.raises(ValueError, match="indt must hold integer"):
+        IndexArrays([[0.0], [1.9], [2.0]], 3)
 
 
 def test_residual_reuses_one_pool(monkeypatch):
@@ -412,3 +523,10 @@ def test_dirichlet_data_rejects_negative_nodes():
         DirichletData(np.array([-1, 80]), np.array([5.0, 7.0]))
     with pytest.raises(ValueError, match="nonnegative"):
         DirichletData(np.array([-1, 0]), np.array([5.0, 7.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dirichlet_data_rejects_non_finite_values(bad):
+    # a NaN value once reached solve_reference, which blamed the matrix
+    with pytest.raises(ValueError, match="values must be finite"):
+        DirichletData(np.array([0, 3]), np.array([1.0, bad]))
