@@ -5,13 +5,13 @@ with n_b = 3, and ``build_element_batch`` computes all of them in one pass
 over blocks of ``GATHER_BLOCK`` elements, a few array operations per
 block.  That pass is the library's only geometry code: it computes each
 element's area once and rejects, by global index, any element that is
-clockwise or degenerate.  The batch's A_e is stored C-contiguous as
-(3, n_e, 3) and exposed as its (3, 3, n_e) transposed view: for each local
-row i, the n_e triples A_e[i, :, e] lie one after another, which is the
-data array of that row's element CSR matrix (see ``IndexArrays``), so the
-residual kernel streams A_e once, in order.  ``local_stiffness_batch`` and
-``local_mass_batch`` are thin wrappers over that pass and return plain
-C-contiguous (3, 3, n_e) arrays.
+clockwise, degenerate or of non-finite area.  The batch's A_e is stored
+C-contiguous as (3, n_e, 3) and exposed as its (3, 3, n_e) transposed
+view: for each local row i, the n_e triples A_e[i, :, e] lie one after
+another, which is the data array of that row's element CSR matrix (see
+``IndexArrays``), so the residual kernel streams A_e once, in order.
+``local_stiffness_batch`` and ``local_mass_batch`` are thin wrappers over
+that pass and return plain C-contiguous (3, 3, n_e) arrays.
 """
 
 from __future__ import annotations
@@ -83,19 +83,23 @@ def _geometry(x, y, lo: int):
 
     ``x[j]``, ``y[j]`` hold the coordinates of the block's j-th corners and
     ``lo`` is the global index of its first element.  An element whose area
-    is not above ``EPS_AREA`` (clockwise, degenerate or NaN) is rejected, by
-    global index, before any gradient is formed.  Returns
-    (areas, grads) with grads of shape (2, 3, B), C-contiguous: grads[:, j, e]
-    is the constant gradient of the basis function attached to local node j.
+    is not a finite number above ``EPS_AREA`` (clockwise, degenerate, or
+    NaN or infinite because finite corners' differences overflow) is
+    rejected, by global index, before any gradient is formed; the overflow
+    itself raises no warning.  Returns (areas, grads) with grads of shape
+    (2, 3, B), C-contiguous: grads[:, j, e] is the constant gradient of the
+    basis function attached to local node j.
     """
-    det = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])  # 2*area
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])  # 2*area
     areas = 0.5 * det
-    valid = areas > EPS_AREA  # False for NaN too
+    valid = (areas > EPS_AREA) & (areas < np.inf)  # False for NaN too
     if not valid.all():
         e = int(np.argmin(valid))  # the block's first invalid element
         raise ValueError(
-            f"degenerate element {lo + e}: area {areas[e]:.3e} is not above "
-            f"{EPS_AREA}; elements must be counterclockwise with positive area"
+            f"degenerate element {lo + e}: area {areas[e]:.3e} is not a finite "
+            f"number above {EPS_AREA}; elements must be counterclockwise with "
+            f"positive area"
         )
     grads = np.empty((2, 3, len(det)))
     for j in range(3):

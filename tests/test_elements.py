@@ -252,12 +252,23 @@ def test_degenerate_element_named_by_global_index(block):
 
 def test_area_that_is_not_a_number_is_rejected():
     # finite corners whose differences overflow: det = inf*0 - inf*inf = NaN,
-    # which a test for area <= EPS_AREA would let through
+    # which a test for area <= EPS_AREA would let through; the overflow
+    # reaches the caller as the ValueError, not as a RuntimeWarning
     m = Mesh(np.array([[-1e308, -1e308], [1e308, 1e308], [1e308, -1e308]]),
              np.array([[0, 1, 2]]), np.array([0]))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="element 0: area nan"):
+    with pytest.raises(ValueError, match="element 0: area nan"):
         build_element_batch(m)
+
+
+def test_infinite_area_is_rejected():
+    # det = inf*1 - 0*1e308 = inf passes area > EPS_AREA, and every entry
+    # of the element's A_e would be NaN (gradients inf/inf)
+    m = perturbed_mesh(3, 0.1, 5)
+    n = m.n_nodes
+    nodes = np.vstack([m.nodes, [[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]]])
+    tri = np.insert(m.elements, 100, [n, n + 1, n + 2], axis=0)
+    with pytest.raises(ValueError, match="degenerate element 100: area inf"):
+        build_element_batch(Mesh(nodes, tri, m.boundary_nodes))
 
 
 def test_batch_build_forms_no_full_width_temporaries():

@@ -233,6 +233,16 @@ def test_cheb3_residual_envelope_with_mass_term(level, nu, iters):
         assert res <= (2.0 * rho**k + 1e-12) * r0
 
 
+def test_cheb3_steps_to_tolerance_with_mass_term():
+    # level 6, nu = 100: 195 steps with Weyl's lower end lambda1 + nu*m_lo,
+    # 119 with the coupled one
+    m, batch, d, _ = make_problem(6, nu=100.0)
+    bounds = operator_bounds(batch, d)
+    _, hist = chebyshev3(batch, d, np.ones(m.n_nodes), bounds, 1000, tol=1e-6)
+    assert hist.stop_reason == "tol"
+    assert len(hist.residual_norms) - 1 == 119
+
+
 # ------------------------------------------------------- loop mechanics
 
 

@@ -22,6 +22,7 @@ from ebsolve import (
     model_eigenvalues_all,
     operator_bounds,
 )
+from ebsolve.spectrum import _lower_end
 
 
 def test_model_eigenvalues_smallest_grids():
@@ -139,14 +140,36 @@ def test_operator_bounds_pure_stiffness():
 
 
 @pytest.mark.parametrize("nu", [3.0, 100.0])
-def test_operator_bounds_with_mass_term_are_the_closed_form_plus_weyl(nu):
+def test_operator_bounds_with_mass_term_pin_the_coupled_lower_end(nu):
+    # lower end: max(Weyl, coupled) where nu*beta < 1, else Weyl, rounded
+    # down by 2**-46; upper end: the closed form plus Weyl
+    branches = []
     for level in range(1, 9):
         _, batch, d, _ = make_problem(level, nu=nu)
         base = model_eigen_bounds(2**level + 1)
         m_lo, m_hi = mass_bounds(batch, d)
+        A = batch.A_e
+        beta = float(np.max(batch.areas * (A[0, 0] + A[1, 1] + A[2, 2]))) / 3.0
+        c = nu * (beta * (1.0 + 2.0**-46))
+        weyl = base.lambda1 + nu * m_lo
+        coupled = (1.0 - c) * base.lambda1 + nu * 4.0 * m_lo
+        lower = max(weyl, coupled) if c < 1.0 else weyl
         b = operator_bounds(batch, d)
-        assert b.lambda1 == base.lambda1 + nu * m_lo
+        assert b.lambda1 == lower * (1.0 - 2.0**-46)
         assert b.lambda2 == base.lambda2 + nu * m_hi
+        branches.append("weyl" if lower == weyl else "coupled")
+    # nu = 100: nu*beta >= 1 on the two coarsest grids; nu = 3: nu*beta < 1
+    # everywhere, but Weyl is larger on the one-free-node grid
+    n_weyl = {3.0: 1, 100.0: 2}[nu]
+    assert branches == ["weyl"] * n_weyl + ["coupled"] * (8 - n_weyl)
+
+
+def test_operator_bounds_with_mass_term_are_within_1e_4_of_the_minimum():
+    # level 8, nu = 100: the minimum is 1.826994952894e-3 (shift-invert
+    # eigsh, tol 1e-14); Weyl's lambda1 + nu*m_lo gave 6.83e-4
+    _, batch, d, _ = make_problem(8, nu=100.0)
+    b = operator_bounds(batch, d)
+    assert 1.826994952e-3 * (1 - 1e-4) <= b.lambda1 <= 1.826994952e-3
 
 
 def test_operator_bounds_reject_a_node_count_that_is_not_square():
@@ -157,8 +180,8 @@ def test_operator_bounds_reject_a_node_count_that_is_not_square():
             operator_bounds(build_element_batch(m, nu=nu), constant_dirichlet(m))
 
 
-@pytest.mark.parametrize("level", [2, 3])
-@pytest.mark.parametrize("nu", [1.0, 10.0])
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("nu", [1.0, 10.0, 100.0])
 def test_operator_bounds_with_mass_term(level, nu):
     m, batch, d, _ = make_problem(level, nu=nu)
     b = operator_bounds(batch, d)
@@ -168,3 +191,22 @@ def test_operator_bounds_with_mass_term(level, nu):
     assert eigs[-1] <= b.lambda2 + 1e-12
     # the mass term only shifts the spectrum up
     assert b.lambda1 >= model_eigen_bounds(2**level + 1).lambda1
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.sampled_from([2, 3, 4]), amp=st.floats(0.0, 0.1),
+       seed=st.integers(0, 2**32 - 1), log_nu=st.floats(-0.3, 4.0))
+def test_coupled_lower_end_encloses_perturbed_mesh_spectrum(level, amp, seed, log_nu):
+    # off the grid, with the dense lambda_min(K) in place of the closed form
+    nu = 10.0**log_nu
+    m = perturbed_mesh(level, amp, seed)
+    d = constant_dirichlet(m)
+    stiffness = build_element_batch(m)
+    batch = build_element_batch(m, nu=nu)
+    lam_k = dense_interior_eigenvalues(
+        assemble_sparse(stiffness.A_e, stiffness.index.indt), d)[0]
+    m_lo, _ = mass_bounds(batch, d)
+    lower = _lower_end(batch, lam_k, m_lo)
+    eigs = dense_interior_eigenvalues(assemble_sparse(batch.A_e, batch.index.indt), d)
+    assert lam_k + nu * m_lo <= lower * (1 + 1e-12)
+    assert lower <= eigs[0] * (1 + 1e-12)
