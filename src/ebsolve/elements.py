@@ -9,7 +9,8 @@ clockwise, degenerate or of non-finite area.  The batch's A_e is stored
 C-contiguous as (3, n_e, 3) and exposed as its (3, 3, n_e) transposed
 view: for each local row i, the n_e triples A_e[i, :, e] lie one after
 another, which is the data array of that row's element CSR matrix (see
-``IndexArrays``), so the residual kernel streams A_e once, in order.
+``IndexArrays``): the residual kernel streams A_e once, in order, in
+zero-copy slices of one element window each.
 ``local_stiffness_batch`` and ``local_mass_batch`` are thin wrappers over
 that pass and return plain C-contiguous (3, 3, n_e) arrays.
 """

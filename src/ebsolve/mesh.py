@@ -13,7 +13,7 @@ degeneracy) is computed and checked in one place, the block pass of
 ``elements.build_element_batch``.  Connectivity is held once, as int32 in
 C order (one node triple per row).  The element operator reads it without
 copying: ``operators.IndexArrays`` holds ``elements.T`` as its (3, n_e)
-gather array ``indt`` and builds its scatter plan from it.
+gather array ``indt`` and builds its node-row scatter blocks from it.
 """
 
 from __future__ import annotations

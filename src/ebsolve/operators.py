@@ -13,12 +13,12 @@ element (data ``A_e[i, :, e]``, columns element e's nodes, see
 product in one pass.  For each block of ``SCATTER_BLOCK`` node rows,
 ``residual`` computes the local residuals of the block's element window
 into a per-thread buffer of 3*W doubles (~1.6 MB at level 10), then sums
-the block's rows from it with the index array's ``ScatterPlan`` (MATLAB's
-``accumarray``; it holds connectivity only, so the system matrix is still
+the block's rows from it with the index array's ``blocks`` (MATLAB's
+``accumarray``; they hold connectivity only, so the system matrix is still
 never formed).  No (3, n_e) array of element residuals is ever stored, and
 every pass runs on zero-copy slices of the stored arrays.  ``residual`` is
 the only implementation of this operator, and the blocked pass in
-``_scatter_blocks``, the plan's only reader, the only node-row scatter:
+``_scatter_blocks``, the blocks' only reader, the only node-row scatter:
 ``scatter`` (and through it ``mass_bounds``) fills the windows from its own
 (3, n_e) input.  Global vectors are 1-D float64 of length n_n.
 
@@ -52,7 +52,7 @@ if TYPE_CHECKING:
 # keeps a mistyped --threads from starting thousands of them.
 MAX_THREADS = 64
 
-# Nodes per block of the node-blocked scatter (``ScatterPlan``), whatever
+# Nodes per block of the node-blocked scatter (``IndexArrays``), whatever
 # the thread count.  A block of grid rows touches about two elements per
 # node, so its window of local residuals, 3 x ~65536 doubles (1.6 MB) per
 # thread, is still in cache when the scatter reads it back; the (3, n_e)
@@ -61,14 +61,15 @@ MAX_THREADS = 64
 # meshes up to level 7 are one block.
 SCATTER_BLOCK = 32768
 
-# A plan whose windows together cover more than this many times n_e
-# elements is built as one block instead: with the elements shuffled, the
-# level-8 windows overlap to x9 the element work.
+# Blocks whose windows together cover more than this many times n_e
+# elements are replaced by one block: with the elements shuffled, the
+# windows sum to x3.0 the element work at level 8 (3 blocks) and x33 at
+# level 10 (33 blocks), each window nearly every element.
 WINDOW_SLACK = 1.1
 
 
 class ScatterBlock(NamedTuple):
-    """Node rows [a, b) of a ``ScatterPlan`` and their element window [elo, ehi)."""
+    """Node rows [a, b) of ``IndexArrays.blocks`` and their element window [elo, ehi)."""
 
     a: int
     b: int
@@ -78,37 +79,8 @@ class ScatterBlock(NamedTuple):
     indices: npt.NDArray[np.int32]
 
 
-@dataclass(frozen=True)
-class ScatterPlan:
-    """The node-row scatter precomputed from ``indt`` alone, MATLAB's
-    ``accumarray`` split into blocks of ``SCATTER_BLOCK`` nodes.
-
-    Node n's entries are its positions p = i*n_e + e in ``indt.ravel()``,
-    in ascending order.  The rows [a, b) of a block reference only the
-    elements of its window [elo, ehi), W = ehi - elo, so ``indices`` holds
-    each position rebased to the window, i*W + e - elo: an index into the
-    (3, W) local values of the window's elements.  Each block's row pointer
-    is rebased to 0 too (block k's sits at ``indptr[a+k:b+k+1]``), so one
-    shared array of ``ones``, as long as the largest block's entry count,
-    is the CSR data of every block.  ``blocks`` holds the bounds and
-    zero-copy views of both arrays per block.  When the windows together
-    cover more than ``WINDOW_SLACK * n_e`` elements (elements in poor
-    order), the plan is one block over all nodes, whose window is every
-    element.
-    """
-
-    indptr: npt.NDArray[np.int32]
-    indices: npt.NDArray[np.int32]
-    ones: npt.NDArray[np.float64]
-    blocks: tuple[ScatterBlock, ...]
-
-    @property
-    def window(self) -> int:
-        """The largest window, W elements."""
-        return max((blk.ehi - blk.elo for blk in self.blocks), default=0)
-
-
-def _scatter_plan(indt: np.ndarray, n_nodes: int) -> ScatterPlan:
+def _blocks(indt: np.ndarray, n_nodes: int):
+    """The blocks, shared ones and window row pointer of ``IndexArrays``."""
     n_e = indt.shape[1]
     flat = indt.ravel()
     # COO -> CSR is a counting sort, so each node row keeps its positions in
@@ -145,11 +117,13 @@ def _scatter_plan(indt: np.ndarray, n_nodes: int) -> ScatterPlan:
         np.subtract(ptr[a:b + 1], lo, out=block_ptr[a + k:b + k + 1])
         spans.append((a, b, elo, ehi, lo, hi))
     ones = np.ones(max((hi - lo for *_, lo, hi in spans), default=0))
-    for arr in (block_ptr, indices, ones):
+    window = max((hi - lo for lo, hi in windows), default=0)
+    window_ptr = np.arange(0, 3 * window + 1, 3, dtype=np.int32)
+    for arr in (block_ptr, indices, ones, window_ptr):
         arr.setflags(write=False)
     blocks = tuple(ScatterBlock(a, b, elo, ehi, block_ptr[a + k:b + k + 1], indices[lo:hi])
                    for k, (a, b, elo, ehi, lo, hi) in enumerate(spans))
-    return ScatterPlan(block_ptr, indices, ones, blocks)
+    return blocks, ones, window_ptr
 
 
 @dataclass(frozen=True)
@@ -159,23 +133,36 @@ class IndexArrays:
     ``indt`` has shape (3, n_e); column e holds the global indices of
     element e's nodes, each below ``n_nodes``.  It is int32 and the
     transpose of a C-contiguous (n_e, 3) array, normally ``Mesh.elements``
-    itself, so ``columns`` (= ``indt.T.ravel()``) is a view of it too.
+    itself, so ``indt.T.ravel()``, element e's nodes at 3e..3e+2, is a
+    view of it too.
 
-    The element operator is, for each local row i, a CSR matrix with one
-    row per element: row e holds element e's three entries ``A_e[i, :, e]``
-    at the columns ``columns[3e:3e+3]``, with the row pointer ``indptr``
-    (0, 3, 6, ...).  It holds element rows, not assembled ones.
+    The rest is the node-row scatter, MATLAB's ``accumarray``, precomputed
+    from ``indt`` alone and split into ``blocks`` of ``SCATTER_BLOCK``
+    nodes.  Node n's entries are its positions p = i*n_e + e in
+    ``indt.ravel()``, in ascending order.  The rows [a, b) of a block
+    reference only the elements of its window [elo, ehi), W = ehi - elo, so
+    its ``indices`` hold each position rebased to the window, i*W + e - elo:
+    an index into the (3, W) local values of the window's elements.  Each
+    block's ``indptr`` is rebased to 0 too, so one shared array of
+    ``ones``, as long as the largest block's entry count, is the CSR data
+    of every block.  When the windows together cover more than
+    ``WINDOW_SLACK * n_e`` elements (elements in poor order), there is one
+    block over all nodes, whose window is every element.
 
-    ``scatter_plan`` is the node-blocked scatter (see ``ScatterPlan``): for
-    each block of node rows, the element window its entries lie in and the
-    entries as positions in that window.  It holds connectivity only, no
-    element values; ``_scatter_blocks`` sums with it.
+    ``window_ptr`` (0, 3, ..., 3W for the largest window W) is the row
+    pointer of the element operator over any window: for each local row i,
+    a CSR matrix with one row per element, row e holding element e's three
+    entries ``A_e[i, :, e]`` at the columns ``indt.T.ravel()[3e:3e+3]``.
+    It holds element rows, not assembled ones, and its length W + 1 sizes
+    the per-thread window buffers.  Nothing here holds element values;
+    ``residual`` and ``_scatter_blocks`` read these arrays.
     """
 
     indt: npt.NDArray[np.int32]
     n_nodes: int
-    indptr: npt.NDArray[np.int32] = field(init=False, repr=False, compare=False)
-    scatter_plan: ScatterPlan = field(init=False, repr=False, compare=False)
+    blocks: tuple[ScatterBlock, ...] = field(init=False, repr=False, compare=False)
+    ones: npt.NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    window_ptr: npt.NDArray[np.int32] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indt = as_index_array(self.indt, "indt")
@@ -190,16 +177,8 @@ class IndexArrays:
         indt = np.ascontiguousarray(indt.T, dtype=np.int32).T
         indt.setflags(write=False)
         object.__setattr__(self, "indt", indt)
-        n_e = indt.shape[1]
-        indptr = np.arange(0, 3 * n_e + 1, 3, dtype=np.int32)
-        indptr.setflags(write=False)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "scatter_plan", _scatter_plan(indt, self.n_nodes))
-
-    @property
-    def columns(self) -> npt.NDArray[np.int32]:
-        """Element e's nodes at positions 3e..3e+2: a view of the connectivity."""
-        return self.indt.T.reshape(-1)
+        for name, value in zip(("blocks", "ones", "window_ptr"), _blocks(indt, self.n_nodes)):
+            object.__setattr__(self, name, value)
 
 
 def build_index_arrays(m: Mesh) -> IndexArrays:
@@ -309,32 +288,30 @@ def _split(fn, n: int, threads: int) -> None:
 
 def _scatter_blocks(index: IndexArrays, fill, threads: int,
                     r: np.ndarray) -> npt.NDArray[np.float64]:
-    """The node-row scatter: r[a:b] for every block of ``index.scatter_plan``.
+    """The node-row scatter: r[a:b] for every block of ``index.blocks``.
 
     ``fill(window, elo, ehi)`` writes the (3, W) local values of elements
     [elo, ehi) into ``window``, a slice of one buffer per thread.  Then
     ``csr_matvec(n_row, n_col, indptr, indices, data, x, y)``, the loop
     behind ``csr_matrix @ x``, which adds row k's products to ``y[k]`` left
     to right and releases the GIL, sums the block's rows from the window
-    with the plan's rebased pointer, window positions and shared ones.
+    with the block's rebased pointer and window positions and the shared ones.
     Contiguous ranges of blocks run on ``threads`` workers of one
     long-lived pool.  Row n adds node n's values in ``indt.ravel()`` order,
     as ``np.bincount`` does, so the result is bitwise independent of
     ``threads`` and of the block size; nodes that no element references
     get 0.
     """
-    plan = index.scatter_plan
-
     def run(k0, k1):
-        buf = np.empty(3 * plan.window)
-        for a, b, elo, ehi, indptr, indices in plan.blocks[k0:k1]:
+        buf = np.empty(3 * (index.window_ptr.size - 1))  # the largest window
+        for a, b, elo, ehi, indptr, indices in index.blocks[k0:k1]:
             window = buf[:3 * (ehi - elo)]
             fill(window.reshape(3, ehi - elo), elo, ehi)
             rows = r[a:b]
             rows.fill(0.0)
-            csr_matvec(b - a, window.size, indptr, indices, plan.ones, window, rows)
+            csr_matvec(b - a, window.size, indptr, indices, index.ones, window, rows)
 
-    _split(run, len(plan.blocks), threads)
+    _split(run, len(index.blocks), threads)
     return r
 
 
@@ -342,7 +319,7 @@ def scatter(index: IndexArrays, local: np.ndarray) -> npt.NDArray[np.float64]:
     """Sum the (3, n_e) local contributions into a new vector of length n_nodes.
 
     Each block's window is copied from ``local``, which may be any (3, n_e)
-    array, a broadcast view included: only a one-block plan copies it
+    array, a broadcast view included: only a single block copies it
     whole.  The result is bitwise equal to
     ``np.bincount(indt.ravel(), local.ravel(), minlength=n_nodes)``.
     """
@@ -361,10 +338,11 @@ def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
 
     Node block by node block (see ``_scatter_blocks``): for each local row
     i, zero the window's row, add the element operator's products with
-    ``csr_matvec`` on the zero-copy row slice ``indptr[elo:ehi+1]``, then
-    ``b_e - .``; then sum the block's node rows from the window.  Every
-    element's and every node's arithmetic is self-contained and in fixed
-    order, so the result is bitwise independent of ``threads`` and equal to
+    ``csr_matvec`` on the window's zero-copy slices of the columns and of
+    ``A_e``, with the shared ``window_ptr``, then ``b_e - .``; then sum the
+    block's node rows from the window.  Every element's and every node's
+    arithmetic is self-contained and in fixed order, so the result is
+    bitwise independent of ``threads`` and equal to
     ``scatter(index, b_e - A_e x[indt])``.  An element whose nodes lie in
     two blocks is computed once for each.
 
@@ -391,13 +369,15 @@ def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
     if np.may_share_memory(x, out):
         raise ValueError("x overlaps out")
     data = batch.A_e.transpose(0, 2, 1).reshape(3, -1)  # a view
-    cols, ptr, b_e = index.columns, index.indptr, batch.b_e
+    cols = index.indt.T.reshape(-1)  # a view, see IndexArrays
+    ptr, b_e = index.window_ptr, batch.b_e
 
     def local_residuals(window, elo, ehi):
+        w, lo, hi = ehi - elo, 3 * elo, 3 * ehi
         for i in range(3):
             row = window[i]
             row.fill(0.0)
-            csr_matvec(ehi - elo, n_n, ptr[elo:ehi + 1], cols, data[i], x, row)
+            csr_matvec(w, n_n, ptr[:w + 1], cols[lo:hi], data[i, lo:hi], x, row)
             np.subtract(b_e[i, elo:ehi], row, out=row)
 
     return _scatter_blocks(index, local_residuals, threads, out)

@@ -72,7 +72,7 @@ def mass_bounds(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
     [min s_i / 12, max s_i / 3] over free nodes i (Wathen 1987).  The sums
     s_i add up ``batch.areas``, the areas M_e is built from, with
     ``operators.scatter``: each block's window is filled from a broadcast
-    view of the areas, so a plan of several blocks makes no (3, n_e) copy
+    view of the areas, so an index of several blocks makes no (3, n_e) copy
     of them.
     """
     index = batch.index

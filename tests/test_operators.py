@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -11,7 +12,7 @@ from scipy.sparse._sparsetools import csr_matvec
 import scipy.sparse as sp
 
 from conftest import make_problem, perturbed_mesh, scatter_blocks, shuffled, uniform_refine
-from ebsolve.operators import MAX_THREADS, SCATTER_BLOCK, WINDOW_SLACK
+from ebsolve.operators import MAX_THREADS, SCATTER_BLOCK, WINDOW_SLACK, ScatterBlock
 
 from ebsolve import (
     DirichletData,
@@ -188,7 +189,7 @@ def test_shuffled_elements_stay_within_the_window_slack_or_fall_back(level, size
     idx = batch.index
     n_e = batch.n_elements
     windows = plan_windows(idx.indt, m.n_nodes, size)
-    plan = [blk[:4] for blk in idx.scatter_plan.blocks]
+    plan = [blk[:4] for blk in idx.blocks]
     if sum(ehi - elo for *_, elo, ehi in windows) <= WINDOW_SLACK * n_e:
         assert plan == windows
     else:
@@ -204,24 +205,26 @@ def test_shuffled_elements_stay_within_the_window_slack_or_fall_back(level, size
 
 
 def plan_rows(idx):
-    """Each node's positions in ``indt.ravel()``, read back from the scatter plan."""
-    plan = idx.scatter_plan
+    """Each node's positions in ``indt.ravel()``, read back from the blocks."""
     n_e = idx.indt.shape[1]
-    assert plan.indices.dtype == plan.indptr.dtype == np.int32
-    assert np.all(plan.ones == 1.0)
+    assert np.all(idx.ones == 1.0)
     rows, end = [], 0
-    for a, b, elo, ehi, indptr, indices in plan.blocks:
+    for a, b, elo, ehi, indptr, indices in idx.blocks:
+        assert indices.dtype == indptr.dtype == np.int32
         assert a == end and 0 <= elo <= ehi <= n_e
         end = b
         width = ehi - elo
         assert indptr[0] == 0 and indptr.size == b - a + 1
-        assert indptr[-1] == indices.size <= plan.ones.size
+        assert indptr[-1] == indices.size <= idx.ones.size
         assert np.all((indices >= 0) & (indices < 3 * width))
         i, e = np.divmod(indices, max(width, 1))
         positions = i * n_e + e + elo
         rows += [positions[indptr[n]:indptr[n + 1]] for n in range(b - a)]
     assert end == idx.n_nodes
-    assert max((b.ehi - b.elo for b in plan.blocks), default=0) == plan.window
+    # the shared element row pointer spans the largest window
+    window = max((b.ehi - b.elo for b in idx.blocks), default=0)
+    assert idx.window_ptr.dtype == np.int32
+    npt.assert_array_equal(idx.window_ptr, np.arange(0, 3 * window + 1, 3))
     return rows
 
 
@@ -232,14 +235,15 @@ def test_index_arrays():
     npt.assert_array_equal(idx.indt, m.elements.T)
     # every node appears in at least one element
     npt.assert_array_equal(np.unique(idx.indt), np.arange(m.n_nodes))
-    # the scatter plan: node n's entries are its positions in indt.ravel(),
-    # ascending, whatever the block size; a mesh this small is one block
-    assert len(idx.scatter_plan.blocks) == 1
+    # the scatter blocks: node n's entries are its positions in
+    # indt.ravel(), ascending, whatever the block size; a mesh this small is
+    # one block
+    assert len(idx.blocks) == 1
     flat = idx.indt.ravel()
     for size in (1, 7, 64, operators.SCATTER_BLOCK):
         with scatter_blocks(size):
             idx = build_index_arrays(m)
-        assert len(idx.scatter_plan.blocks) == -(-m.n_nodes // size)
+        assert len(idx.blocks) == -(-m.n_nodes // size)
         for n, positions in enumerate(plan_rows(idx)):
             npt.assert_array_equal(positions, np.flatnonzero(flat == n))
     # indt is the mesh's int32 connectivity, not a copy of it, whatever the
@@ -263,11 +267,13 @@ def test_connectivity_is_held_once_as_int32():
         assert m.elements.flags.c_contiguous
         idx = build_index_arrays(m)
         # the element operator's column array is the connectivity itself
-        assert idx.columns.shape == (3 * m.n_elements,)
-        assert np.shares_memory(idx.columns, m.elements)
-        npt.assert_array_equal(idx.columns, m.elements.ravel())
-        npt.assert_array_equal(idx.indptr, np.arange(0, 3 * m.n_elements + 1, 3))
-        assert idx.indptr.dtype == np.int32
+        columns = idx.indt.T.reshape(-1)
+        assert columns.shape == (3 * m.n_elements,)
+        assert np.shares_memory(columns, m.elements)
+        npt.assert_array_equal(columns, m.elements.ravel())
+        # one block, whose window is every element
+        npt.assert_array_equal(idx.window_ptr, np.arange(0, 3 * m.n_elements + 1, 3))
+        assert idx.window_ptr.dtype == np.int32
     # the range is checked before the cast, which would wrap node 2**32 to 0
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="nonexistent"):
@@ -280,6 +286,33 @@ def test_connectivity_is_held_once_as_int32():
         Mesh(too_many, np.array([[0, 1, 2]]), np.array([0]))
     with pytest.raises(ValueError, match="int32"):
         IndexArrays(np.array([[0], [1], [2]]), 2**31)
+
+
+def held(obj):
+    """``obj`` and all it holds through dataclass fields and tuples, recursively."""
+    yield obj
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from held(item)
+
+
+def test_index_arrays_hold_nothing_element_long_but_the_connectivity_and_positions():
+    # with several blocks in grid order, the pointers and the ones are
+    # sized by a block or a window, not by the element count
+    for level, size in ((6, 256), (9, SCATTER_BLOCK)):
+        m = build_unit_square_mesh(level)
+        with scatter_blocks(size):
+            idx = build_index_arrays(m)
+        objs = list(held(idx))
+        positions = [o.indices for o in objs if isinstance(o, ScatterBlock)]
+        assert len(positions) > 1
+        long = [arr.shape for arr in objs
+                if isinstance(arr, np.ndarray) and arr.size >= m.n_elements
+                and not np.shares_memory(arr, idx.indt)
+                and not any(np.shares_memory(arr, p) for p in positions)]
+        assert long == []
 
 
 def test_index_arrays_validation():
@@ -295,16 +328,20 @@ def test_index_arrays_validation():
     # nodes that no element references get empty rows of their own, and a
     # block of them an empty window
     idx = IndexArrays(indt, 5)
-    (block,) = idx.scatter_plan.blocks
+    (block,) = idx.blocks
     assert block[:4] == (0, 5, 0, 1)
     npt.assert_array_equal(block.indptr, [0, 1, 2, 3, 3, 3])
     with scatter_blocks(2):
-        plan = IndexArrays(indt, 5).scatter_plan
-    assert [blk[:4] for blk in plan.blocks] == [(0, 2, 0, 1), (2, 4, 0, 1), (4, 5, 0, 0)]
-    npt.assert_array_equal(plan.indptr, [0, 1, 2, 0, 1, 1, 0, 0])
-    assert plan.ones.size == 2
+        idx = IndexArrays(indt, 5)
+    assert [blk[:4] for blk in idx.blocks] == [(0, 2, 0, 1), (2, 4, 0, 1), (4, 5, 0, 0)]
+    for blk, ptr in zip(idx.blocks, ([0, 1, 2], [0, 1, 1], [0, 0])):
+        npt.assert_array_equal(blk.indptr, ptr)
+    assert idx.ones.size == 2
+    npt.assert_array_equal(idx.window_ptr, [0, 3])
     # no nodes, no blocks
-    assert IndexArrays(np.empty((3, 0), dtype=np.int32), 0).scatter_plan.blocks == ()
+    empty = IndexArrays(np.empty((3, 0), dtype=np.int32), 0)
+    assert empty.blocks == ()
+    npt.assert_array_equal(empty.window_ptr, [0])
 
 
 def test_non_integer_indt_is_rejected():
@@ -393,7 +430,7 @@ def test_residual_into_reused_workspace_matches_fresh_calls_bitwise(monkeypatch)
     m = perturbed_mesh(4, 0.1, 3)
     with scatter_blocks(40):
         batch = build_element_batch(m, nu=2.5, f=lambda x, y: np.sin(5.0 * x) + y)
-    assert len(batch.index.scatter_plan.blocks) == 8
+    assert len(batch.index.blocks) == 8
     rng = np.random.default_rng(8)
     xs = [rng.standard_normal(m.n_nodes) for _ in range(4)]
     fresh = [residual(batch, x).tobytes() for x in xs]
@@ -436,7 +473,7 @@ def test_one_residual_call_allocates_less_than_one_element_array():
     # level 9: 263169 nodes, 524288 elements, 9 blocks; the (3, n_e) element
     # residuals the blocked pass replaces would be 12.6 MB
     m, batch, _, _ = make_problem(9)
-    assert len(batch.index.scatter_plan.blocks) == 9
+    assert len(batch.index.blocks) == 9
     x = np.random.default_rng(1).standard_normal(m.n_nodes)
     local_bytes = 3 * batch.n_elements * 8
     for threads in (1, 2):
