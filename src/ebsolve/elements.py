@@ -17,13 +17,13 @@ that pass and return plain C-contiguous (3, 3, n_e) arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.typing as npt
 
 from .mesh import Mesh
-from .operators import IndexArrays, build_index_arrays
+from .operators import IndexArrays, build_index_arrays, scatter
 
 EPS_AREA = 1e-14
 
@@ -48,7 +48,10 @@ class ElementBatch:
     view whose transpose ``A_e.transpose(0, 2, 1)`` is C-contiguous (any
     other A_e given is copied into that layout); b_e holds the
     local load vectors (one column per element) prior to assembly and
-    ``areas`` the element areas.  In a batch from ``build_element_batch``,
+    ``areas`` the element areas.  ``b`` is the assembled load, computed
+    once here by ``operators.scatter(index, b_e)`` and read-only, bitwise
+    equal to ``assemble_rhs(b_e, index.indt, index.n_nodes)``: every
+    residual starts from it.  In a batch from ``build_element_batch``,
     b_e is a read-only broadcast view of one per-element load vector and
     ``index.indt`` a view of the mesh's connectivity.  The batch keeps no
     mesh: ``local_stiffness_batch(m)`` and ``local_mass_batch(m)`` give
@@ -60,6 +63,7 @@ class ElementBatch:
     areas: npt.NDArray[np.float64]
     nu: float
     index: IndexArrays
+    b: npt.NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_e = self.index.indt.shape[1]
@@ -73,6 +77,9 @@ class ElementBatch:
             raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
         store = np.ascontiguousarray(self.A_e.transpose(0, 2, 1), dtype=np.float64)
         object.__setattr__(self, "A_e", store.transpose(0, 2, 1))
+        b = scatter(self.index, self.b_e)
+        b.setflags(write=False)
+        object.__setattr__(self, "b", b)
 
     @property
     def n_elements(self) -> int:
@@ -154,6 +161,9 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
         if not np.all(np.isfinite(vals)):
             raise ValueError("source function returned non-finite values")
         load[blk] = vals * a / 3.0
+    # the last block's temporaries (~3 MB) are dropped before ElementBatch
+    # assembles the load beside the finished arrays, not kept through it
+    corners = x = y = a = grads = k = vals = None
     return ElementBatch(
         A_e=store.transpose(0, 2, 1),
         b_e=np.broadcast_to(load, (3, n_e)),

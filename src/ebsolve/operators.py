@@ -4,23 +4,25 @@ Dirichlet handling.
 The global system matrix is never formed here.  A residual is computed
 element by element,
 
-    r = sum_e scatter( b_e - A_e * x[indt] ),
+    r = b - sum_e scatter( A_e * x[indt] ),
 
-in scipy's compiled CSR matrix-vector loop, node block by node block.  For
-each local row i the element operator is a CSR matrix with one row per
-element (data ``A_e[i, :, e]``, columns element e's nodes, see
-``IndexArrays``); its product with x is the gather and the local 3x3
-product in one pass.  For each block of ``SCATTER_BLOCK`` node rows,
-``residual`` computes the local residuals of the block's element window
-into a per-thread buffer of 3*W doubles (~1.6 MB at level 10), then sums
-the block's rows from it with the index array's ``blocks`` (MATLAB's
-``accumarray``; they hold connectivity only, so the system matrix is still
-never formed).  No (3, n_e) array of element residuals is ever stored, and
-every pass runs on zero-copy slices of the stored arrays.  ``residual`` is
-the only implementation of this operator, and the blocked pass in
+in scipy's compiled CSR matrix-vector loop, node block by node block, from
+the load b the batch assembles once.  For each local row i the element
+operator is a CSR matrix with one row per element (data ``A_e[i, :, e]``,
+columns element e's nodes, see ``IndexArrays``); its product with x is the
+gather and the local 3x3 product in one pass.  For each block of
+``SCATTER_BLOCK`` node rows, ``residual`` computes the element products of
+the block's element window into a per-thread buffer of 3*W doubles
+(~1.6 MB at level 10), then subtracts them from the block's rows of b,
+node by node, with the index array's ``blocks`` (MATLAB's ``accumarray``;
+they hold connectivity only, so the system matrix is still never formed).
+No (3, n_e) array of element values is ever stored, and every pass runs on
+zero-copy slices of the stored arrays.  ``residual`` is the only
+implementation of this operator, and the blocked pass in
 ``_scatter_blocks``, the blocks' only reader, the only node-row scatter:
-``scatter`` (and through it ``mass_bounds``) fills the windows from its own
-(3, n_e) input.  Global vectors are 1-D float64 of length n_n.
+``scatter`` (and through it ``mass_bounds`` and the batch's b) fills the
+windows from its own (3, n_e) input, negated, so that subtracting them
+from 0 sums them.  Global vectors are 1-D float64 of length n_n.
 
 A ``residual`` call without ``out`` allocates its result.  A solve
 allocates one vector and passes it as ``out`` to every step, which then
@@ -54,11 +56,11 @@ MAX_THREADS = 64
 
 # Nodes per block of the node-blocked scatter (``IndexArrays``), whatever
 # the thread count.  A block of grid rows touches about two elements per
-# node, so its window of local residuals, 3 x ~65536 doubles (1.6 MB) per
-# thread, is still in cache when the scatter reads it back; the (3, n_e)
-# array it replaces is 50 MB at level 10.  Level 10 has 33 blocks, each
-# element computed x1.031 times on average; level 8 has 3 (x1.008), and
-# meshes up to level 7 are one block.
+# node, so its window of element products, 3 x ~65536 doubles (1.6 MB) per
+# thread, is still in cache when the scatter subtracts it from b; the
+# (3, n_e) array it replaces is 50 MB at level 10.  Level 10 has 33 blocks,
+# each element computed x1.031 times on average; level 8 has 3 (x1.008),
+# and meshes up to level 7 are one block.
 SCATTER_BLOCK = 32768
 
 # Blocks whose windows together cover more than this many times n_e
@@ -80,7 +82,7 @@ class ScatterBlock(NamedTuple):
 
 
 def _blocks(indt: np.ndarray, n_nodes: int):
-    """The blocks, shared ones and window row pointer of ``IndexArrays``."""
+    """The blocks, shared minus ones and window row pointer of ``IndexArrays``."""
     n_e = indt.shape[1]
     flat = indt.ravel()
     # COO -> CSR is a counting sort, so each node row keeps its positions in
@@ -116,14 +118,14 @@ def _blocks(indt: np.ndarray, n_nodes: int):
         positions -= shift  # i*n_e + e  ->  i*W + e - elo
         np.subtract(ptr[a:b + 1], lo, out=block_ptr[a + k:b + k + 1])
         spans.append((a, b, elo, ehi, lo, hi))
-    ones = np.ones(max((hi - lo for *_, lo, hi in spans), default=0))
+    minus_ones = np.full(max((hi - lo for *_, lo, hi in spans), default=0), -1.0)
     window = max((hi - lo for lo, hi in windows), default=0)
     window_ptr = np.arange(0, 3 * window + 1, 3, dtype=np.int32)
-    for arr in (block_ptr, indices, ones, window_ptr):
+    for arr in (block_ptr, indices, minus_ones, window_ptr):
         arr.setflags(write=False)
     blocks = tuple(ScatterBlock(a, b, elo, ehi, block_ptr[a + k:b + k + 1], indices[lo:hi])
                    for k, (a, b, elo, ehi, lo, hi) in enumerate(spans))
-    return blocks, ones, window_ptr
+    return blocks, minus_ones, window_ptr
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,11 @@ class IndexArrays:
     its ``indices`` hold each position rebased to the window, i*W + e - elo:
     an index into the (3, W) local values of the window's elements.  Each
     block's ``indptr`` is rebased to 0 too, so one shared array of
-    ``ones``, as long as the largest block's entry count, is the CSR data
-    of every block.  When the windows together cover more than
+    ``minus_ones``, as long as the largest block's entry count, is the CSR
+    data of every block: the scatter subtracts each window value from its
+    node's row, so the residual needs no subtract pass of its own, and
+    ``scatter``, which runs at set-up only, negates its window copy
+    instead.  When the windows together cover more than
     ``WINDOW_SLACK * n_e`` elements (elements in poor order), there is one
     block over all nodes, whose window is every element.
 
@@ -161,7 +166,7 @@ class IndexArrays:
     indt: npt.NDArray[np.int32]
     n_nodes: int
     blocks: tuple[ScatterBlock, ...] = field(init=False, repr=False, compare=False)
-    ones: npt.NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    minus_ones: npt.NDArray[np.float64] = field(init=False, repr=False, compare=False)
     window_ptr: npt.NDArray[np.int32] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -177,7 +182,8 @@ class IndexArrays:
         indt = np.ascontiguousarray(indt.T, dtype=np.int32).T
         indt.setflags(write=False)
         object.__setattr__(self, "indt", indt)
-        for name, value in zip(("blocks", "ones", "window_ptr"), _blocks(indt, self.n_nodes)):
+        names = ("blocks", "minus_ones", "window_ptr")
+        for name, value in zip(names, _blocks(indt, self.n_nodes)):
             object.__setattr__(self, name, value)
 
 
@@ -286,21 +292,23 @@ def _split(fn, n: int, threads: int) -> None:
         f.result()
 
 
-def _scatter_blocks(index: IndexArrays, fill, threads: int,
+def _scatter_blocks(index: IndexArrays, fill, threads: int, start: np.ndarray,
                     r: np.ndarray) -> npt.NDArray[np.float64]:
-    """The node-row scatter: r[a:b] for every block of ``index.blocks``.
+    """The node-row scatter: r[a:b] = start[a:b] minus the block's node rows.
 
     ``fill(window, elo, ehi)`` writes the (3, W) local values of elements
-    [elo, ehi) into ``window``, a slice of one buffer per thread.  Then
+    [elo, ehi) into ``window``, a slice of one buffer per thread.  Then the
+    block's rows of ``start`` are copied into r, and
     ``csr_matvec(n_row, n_col, indptr, indices, data, x, y)``, the loop
     behind ``csr_matrix @ x``, which adds row k's products to ``y[k]`` left
-    to right and releases the GIL, sums the block's rows from the window
-    with the block's rebased pointer and window positions and the shared ones.
-    Contiguous ranges of blocks run on ``threads`` workers of one
-    long-lived pool.  Row n adds node n's values in ``indt.ravel()`` order,
-    as ``np.bincount`` does, so the result is bitwise independent of
-    ``threads`` and of the block size; nodes that no element references
-    get 0.
+    to right and releases the GIL, subtracts each node's window values from
+    them with the block's rebased pointer and window positions and the
+    shared minus ones: r[n] = ((start[n] - v1) - v2) - ..., node n's values in
+    ``indt.ravel()`` order, since -1*v is exact and adding -v is
+    subtracting v.  Contiguous ranges of blocks run on ``threads`` workers
+    of one long-lived pool.  Every row's arithmetic is self-contained and
+    in fixed order, so the result is bitwise independent of ``threads`` and
+    of the block size; nodes that no element references get ``start``.
     """
     def run(k0, k1):
         buf = np.empty(3 * (index.window_ptr.size - 1))  # the largest window
@@ -308,8 +316,8 @@ def _scatter_blocks(index: IndexArrays, fill, threads: int,
             window = buf[:3 * (ehi - elo)]
             fill(window.reshape(3, ehi - elo), elo, ehi)
             rows = r[a:b]
-            rows.fill(0.0)
-            csr_matvec(b - a, window.size, indptr, indices, index.ones, window, rows)
+            np.copyto(rows, start[a:b])
+            csr_matvec(b - a, window.size, indptr, indices, index.minus_ones, window, rows)
 
     _split(run, len(index.blocks), threads)
     return r
@@ -318,33 +326,37 @@ def _scatter_blocks(index: IndexArrays, fill, threads: int,
 def scatter(index: IndexArrays, local: np.ndarray) -> npt.NDArray[np.float64]:
     """Sum the (3, n_e) local contributions into a new vector of length n_nodes.
 
-    Each block's window is copied from ``local``, which may be any (3, n_e)
-    array, a broadcast view included: only a single block copies it
-    whole.  The result is bitwise equal to
+    Each block's window is ``-local[:, elo:ehi]``, which the scatter
+    subtracts from 0: -(-v) is exact, so node n's row is 0 + v1 + v2 + ...
+    ``local`` may be any (3, n_e) array, a broadcast view included: only a
+    single block reads it whole.  The result is bitwise equal to
     ``np.bincount(indt.ravel(), local.ravel(), minlength=n_nodes)``.
     """
     if local.shape != index.indt.shape:
         raise ValueError(f"shape mismatch: local {local.shape} vs indt {index.indt.shape}")
 
-    def copy_window(window, elo, ehi):
-        np.copyto(window, local[:, elo:ehi])
+    def negated_window(window, elo, ehi):
+        np.negative(local[:, elo:ehi], out=window)
 
-    return _scatter_blocks(index, copy_window, 1, np.empty(index.n_nodes))
+    n_n = index.n_nodes
+    return _scatter_blocks(index, negated_window, 1, np.broadcast_to(0.0, n_n), np.empty(n_n))
 
 
 def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
              out: np.ndarray | None = None) -> npt.NDArray[np.float64]:
     """r = b - A x without forming A, into ``out`` when it is given.
 
-    Node block by node block (see ``_scatter_blocks``): for each local row
-    i, zero the window's row, add the element operator's products with
+    Node block by node block (see ``_scatter_blocks``): zero the window,
+    then for each local row i add the element operator's products with
     ``csr_matvec`` on the window's zero-copy slices of the columns and of
-    ``A_e``, with the shared ``window_ptr``, then ``b_e - .``; then sum the
-    block's node rows from the window.  Every element's and every node's
-    arithmetic is self-contained and in fixed order, so the result is
-    bitwise independent of ``threads`` and equal to
-    ``scatter(index, b_e - A_e x[indt])``.  An element whose nodes lie in
-    two blocks is computed once for each.
+    ``A_e``, with the shared ``window_ptr``; then subtract them from the
+    block's rows of the batch's assembled load ``b``.  Node n's entry is
+    ((b[n] - s1) - s2) - ... over its element products s_k = A_e[i, :, e] .
+    x[indt[:, e]] (each summed left to right) in ``indt.ravel()`` order.
+    Every element's and every node's arithmetic is self-contained and in
+    fixed order, so the result is bitwise independent of ``threads`` and of
+    the block size.  An element whose nodes lie in two blocks is computed
+    once for each.
 
     An ``x`` with a NaN or an infinite entry raises ``NonFiniteError``, a
     ``ValueError``.  Without ``out`` the result is a new vector; with it,
@@ -370,17 +382,15 @@ def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
         raise ValueError("x overlaps out")
     data = batch.A_e.transpose(0, 2, 1).reshape(3, -1)  # a view
     cols = index.indt.T.reshape(-1)  # a view, see IndexArrays
-    ptr, b_e = index.window_ptr, batch.b_e
+    ptr = index.window_ptr
 
-    def local_residuals(window, elo, ehi):
+    def element_products(window, elo, ehi):
         w, lo, hi = ehi - elo, 3 * elo, 3 * ehi
+        window.fill(0.0)
         for i in range(3):
-            row = window[i]
-            row.fill(0.0)
-            csr_matvec(w, n_n, ptr[:w + 1], cols[lo:hi], data[i, lo:hi], x, row)
-            np.subtract(b_e[i, elo:ehi], row, out=row)
+            csr_matvec(w, n_n, ptr[:w + 1], cols[lo:hi], data[i, lo:hi], x, window[i])
 
-    return _scatter_blocks(index, local_residuals, threads, out)
+    return _scatter_blocks(index, element_products, threads, batch.b, out)
 
 
 def mask_dirichlet(r: np.ndarray, d: DirichletData) -> npt.NDArray[np.float64]:

@@ -294,7 +294,7 @@ def test_run_experiment_calls_through_module_attributes(monkeypatch, tmp_path):
         monkeypatch.setattr(module, name, wrapper)
 
     setup = ("build_unit_square_mesh", "build_element_batch", "constant_dirichlet",
-             "operator_bounds", "assemble_sparse", "assemble_rhs", "solve_reference")
+             "operator_bounds", "assemble_sparse", "solve_reference")
     solver_names = ("richardson", "chebyshev2", "chebyshev3")
     for name in setup + solver_names:
         counting(cli, name)
@@ -311,6 +311,14 @@ def test_run_experiment_calls_through_module_attributes(monkeypatch, tmp_path):
         return original_cheb3(batch, d, x0, bounds, *args, **kwargs)
 
     monkeypatch.setattr(cli, "chebyshev3", cheb3_seeing_bounds)
+    solved_rhs = []
+    original_solve = cli.solve_reference
+
+    def solve_recording_rhs(A, b, d):
+        solved_rhs.append(b)
+        return original_solve(A, b, d)
+
+    monkeypatch.setattr(cli, "solve_reference", solve_recording_rhs)
     report = run_experiment(ExperimentConfig(level=3, iters=4, solver="all",
                                              compare_direct=True, out_dir=str(tmp_path)))
     for name in setup + solver_names:
@@ -327,3 +335,30 @@ def test_run_experiment_calls_through_module_attributes(monkeypatch, tmp_path):
     assert max(calls.index(name) for name in setup) < first_solver
     assert first_solver < calls.index("residual")
     assert calls.index("chebyshev3") < calls.index("export_history")
+    # the load is assembled once, by the batch, and the direct solve reads it
+    assert not hasattr(cli, "assemble_rhs")
+    assert len(solved_rhs) == 1
+    assert solved_rhs[0] is results["build_element_batch"].b
+
+
+def test_every_solver_starts_from_a_read_only_broadcast_of_the_boundary_value(monkeypatch):
+    import ebsolve.cli as cli
+
+    calls = []
+    for name in ("richardson", "chebyshev2", "chebyshev3"):
+        def recording(batch, d, x0, *args, fn=getattr(cli, name), **kwargs):
+            calls.append((fn, batch, d, x0, args, kwargs))
+            return fn(batch, d, x0, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+    report = run_experiment(ExperimentConfig(level=4, iters=30, solver="all",
+                                             compare_direct=True))
+    runs = [report.runs[name] for name in ("richardson", "cheb2", "cheb3")]
+    for run, (fn, batch, d, x0, args, kwargs) in zip(runs, calls, strict=True):
+        assert x0.shape == (report.n_nodes,) and not x0.flags.writeable
+        assert np.all(x0 == cli.BOUNDARY_VALUE)
+        _, ref = fn(batch, d, np.full(report.n_nodes, cli.BOUNDARY_VALUE), *args, **kwargs)
+        assert run.history.residual_norms.tobytes() == ref.residual_norms.tobytes()
+        assert run.history.error_norms.tobytes() == ref.error_norms.tobytes()
+        assert run.x.flags.writeable
+        assert not np.shares_memory(run.x, x0)

@@ -67,6 +67,25 @@ def test_scatter_reproduces_assemble_rhs():
         operators.scatter(idx, np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("size", [7, SCATTER_BLOCK])
+def test_batch_load_is_read_only_and_bitwise_assemble_rhs(size):
+    rng = np.random.default_rng(5)
+    meshes = [perturbed_mesh(4, 0.1, 1), shuffled(perturbed_mesh(4, 0.1, 2), 2, -1),
+              with_unreferenced_node(build_unit_square_mesh(3), first=True),
+              with_unreferenced_node(build_unit_square_mesh(3), first=False)]
+    for m in meshes:
+        with scatter_blocks(size):
+            batch = build_element_batch(m, nu=1.0, f=lambda x, y: np.cos(3.0 * x) - y)
+            # a load that differs between an element's three nodes
+            loads = dataclasses.replace(batch, b_e=rng.standard_normal((3, m.n_elements)))
+        for case in (batch, loads):
+            b = assemble_rhs(case.b_e, case.index.indt, m.n_nodes)
+            assert case.b.tobytes() == b.tobytes()
+            assert not case.b.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                case.b[0] = 1.0
+
+
 def test_residual_at_zero_is_rhs():
     _, batch, _, b = make_problem(2)
     r = residual(batch, np.zeros(25))
@@ -120,15 +139,19 @@ def test_residual_matches_oracle_on_perturbed_mesh(level, amp, nu, seed):
 
 
 def bincount_residual(batch, x):
-    """Reference residual: one full-width local product, one np.bincount.
+    """Reference residual: the loads summed by np.bincount, then each element
+    product subtracted from its node in ``indt.ravel()`` order by
+    np.subtract.at, ((b[n] - s1) - s2) - ...
 
     The einsum runs on a C-contiguous copy of A_e: there it sums each row
     left to right, as the residual's CSR loop does.  On the strided A_e
     view it regroups the sum and differs in the last bit.
     """
     indt = batch.index.indt
-    local = batch.b_e - np.einsum("ije,je->ie", np.ascontiguousarray(batch.A_e), x[indt])
-    return np.bincount(indt.ravel(), weights=local.ravel(), minlength=x.shape[0])
+    products = np.einsum("ije,je->ie", np.ascontiguousarray(batch.A_e), x[indt])
+    r = np.bincount(indt.ravel(), weights=batch.b_e.ravel(), minlength=x.shape[0])
+    np.subtract.at(r, indt.ravel(), products.ravel())
+    return r
 
 
 def with_unreferenced_node(m, first):
@@ -207,7 +230,7 @@ def test_shuffled_elements_stay_within_the_window_slack_or_fall_back(level, size
 def plan_rows(idx):
     """Each node's positions in ``indt.ravel()``, read back from the blocks."""
     n_e = idx.indt.shape[1]
-    assert np.all(idx.ones == 1.0)
+    assert np.all(idx.minus_ones == -1.0)
     rows, end = [], 0
     for a, b, elo, ehi, indptr, indices in idx.blocks:
         assert indices.dtype == indptr.dtype == np.int32
@@ -215,7 +238,7 @@ def plan_rows(idx):
         end = b
         width = ehi - elo
         assert indptr[0] == 0 and indptr.size == b - a + 1
-        assert indptr[-1] == indices.size <= idx.ones.size
+        assert indptr[-1] == indices.size <= idx.minus_ones.size
         assert np.all((indices >= 0) & (indices < 3 * width))
         i, e = np.divmod(indices, max(width, 1))
         positions = i * n_e + e + elo
@@ -299,7 +322,7 @@ def held(obj):
 
 
 def test_index_arrays_hold_nothing_element_long_but_the_connectivity_and_positions():
-    # with several blocks in grid order, the pointers and the ones are
+    # with several blocks in grid order, the pointers and the minus ones are
     # sized by a block or a window, not by the element count
     for level, size in ((6, 256), (9, SCATTER_BLOCK)):
         m = build_unit_square_mesh(level)
@@ -336,7 +359,7 @@ def test_index_arrays_validation():
     assert [blk[:4] for blk in idx.blocks] == [(0, 2, 0, 1), (2, 4, 0, 1), (4, 5, 0, 0)]
     for blk, ptr in zip(idx.blocks, ([0, 1, 2], [0, 1, 1], [0, 0])):
         npt.assert_array_equal(blk.indptr, ptr)
-    assert idx.ones.size == 2
+    assert idx.minus_ones.size == 2
     npt.assert_array_equal(idx.window_ptr, [0, 3])
     # no nodes, no blocks
     empty = IndexArrays(np.empty((3, 0), dtype=np.int32), 0)

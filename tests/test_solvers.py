@@ -405,6 +405,27 @@ def test_one_finite_check_of_the_iterate_per_step(monkeypatch):
         richardson(batch, d, bad, model_eigen_bounds(9), 5)
 
 
+def test_a_read_only_broadcast_start_gives_the_solve_of_a_full_one():
+    # nu = 2: at nu = 1 the start would be the exact solution (u = 1)
+    m, batch, d, _ = make_problem(4, nu=2.0)
+    u = reference_solution(batch, d)
+    bounds = operator_bounds(batch, d)
+    start = np.broadcast_to(1.0, m.n_nodes)
+    assert not start.flags.writeable
+    for solver, extra in ((richardson, ()), (chebyshev2, (4,)), (chebyshev3, ())):
+        for kwargs in ({}, {"reference": u, "tol": 1e-3}):
+            x_ref, ref = solver(batch, d, np.full(m.n_nodes, 1.0), bounds, *extra, 30,
+                                **kwargs)
+            x, hist = solver(batch, d, start, bounds, *extra, 30, **kwargs)
+            assert hist.residual_norms.tobytes() == ref.residual_norms.tobytes()
+            if "reference" in kwargs:
+                assert hist.error_norms.tobytes() == ref.error_norms.tobytes()
+            assert hist.stop_reason == ref.stop_reason
+            assert x.tobytes() == x_ref.tobytes()
+            assert x.flags.writeable and x.flags.c_contiguous
+            assert not np.shares_memory(x, start)
+
+
 def test_error_norms_are_the_norms_of_each_iterate_minus_the_reference():
     m, batch, d, _ = make_problem(3, nu=2.0)
     u = reference_solution(batch, d)
