@@ -125,7 +125,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError("; ".join(problems))
 
     mesh = build_unit_square_mesh(cfg.level)
-    batch = build_element_batch(mesh, nu=cfg.nu)
+    batch = build_element_batch(mesh, nu=cfg.nu, threads=cfg.threads)
     dirichlet = constant_dirichlet(mesh, BOUNDARY_VALUE)
     solvers = _requested_solvers(cfg.solver)
 
@@ -274,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=defaults.tol,
                    help="optional early stop at ||r^k|| <= tol*||r^0||")
     p.add_argument("--threads", type=int, default=defaults.threads,
-                   help=f"worker threads for the residual kernel, at most {MAX_THREADS} "
-                        "(default %(default)s)")
+                   help="worker threads for the element batch and the residual kernel, "
+                        f"at most {MAX_THREADS} (default %(default)s)")
     p.add_argument("--out-dir", default=defaults.out_dir,
                    help="directory for history/solution exports")
     p.add_argument("--export-vtk", action="store_true", default=defaults.export_vtk,

@@ -3,14 +3,17 @@
 Local quantities are indexed as 3-index arrays of shape (n_b, n_b, n_e)
 with n_b = 3, and ``build_element_batch`` computes all of them in one pass
 over blocks of ``GATHER_BLOCK`` elements, a few array operations per
-block.  That pass is the library's only geometry code: it computes each
-element's area once and rejects, by global index, any element that is
-clockwise, degenerate or of non-finite area.  The batch's A_e is stored
-C-contiguous as (3, n_e, 3) and exposed as its (3, 3, n_e) transposed
-view: for each local row i, the n_e triples A_e[i, :, e] lie one after
-another, which is the data array of that row's element CSR matrix (see
-``IndexArrays``): the residual kernel streams A_e once, in order, in
-zero-copy slices of one element window each.
+block.  Contiguous ranges of blocks run on the residual's thread pool;
+each block writes only its own slices, so the batch is bitwise the same
+for any thread count.  That pass is the library's only geometry code: it
+computes each element's area once and rejects, by global index, any
+element that is clockwise, degenerate or of non-finite area.  The
+batch's A_e is stored C-contiguous as (3, n_e, 3) and exposed as its
+(3, 3, n_e) transposed view: for each local row i, the n_e triples
+A_e[i, :, e] lie one after another, which is the data array of that
+row's element CSR matrix (see ``IndexArrays``): the residual kernel
+streams A_e once, in order, in zero-copy slices of one element window
+each.
 ``local_stiffness_batch`` and ``local_mass_batch`` are thin wrappers over
 that pass and return plain C-contiguous (3, 3, n_e) arrays.
 """
@@ -23,7 +26,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .mesh import Mesh
-from .operators import IndexArrays, build_index_arrays, scatter
+from .operators import IndexArrays, _split, build_index_arrays, check_threads, scatter
 
 EPS_AREA = 1e-14
 
@@ -32,8 +35,8 @@ EPS_AREA = 1e-14
 # and (3, 3, B) einsum scratch (~1.2 MB) stay in cache.  Level 10, on a
 # shared 2-core host: the corner gathers, 1-D on ``x, y = nodes.T``,
 # ~20 ms, against ~100 ms for the mixed index ``nodes.T[:, corners]``; the
-# whole batch build ~0.35 s (index arrays included), against ~0.5 s with
-# the mixed index and ~0.9 s for full-width geometry.
+# whole serial batch build ~0.25-0.35 s (index arrays included), against
+# ~0.5 s with the mixed index and ~0.9 s for full-width geometry.
 GATHER_BLOCK = 16384
 
 # exact P1 mass pattern: M_e = area/12 * (ones + eye)
@@ -121,7 +124,7 @@ def _mass(areas) -> npt.NDArray[np.float64]:
     return _MASS_PATTERN[:, :, None] * areas
 
 
-def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
+def build_element_batch(m: Mesh, nu: float = 0.0, f=None, threads: int = 1) -> ElementBatch:
     """Assemble the full batch for a mesh (default source f = 1).
 
     One pass over blocks of ``GATHER_BLOCK`` elements: each block's
@@ -132,9 +135,22 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
     evaluated pointwise, one block of centroids per call; a scalar f is
     broadcast.  The index arrays are built first, while only the mesh is
     resident, and no full-width temporary is formed.
+
+    Contiguous ranges of blocks run on ``threads`` workers of the
+    long-lived pool the residual uses, the calling thread taking the first
+    range; ``threads`` outside 1..``operators.MAX_THREADS`` raises
+    ``ValueError`` before anything is allocated.  Each block writes only its own
+    slices of the stored arrays, so the batch is bitwise independent of
+    ``threads``.  With more than one thread ``f`` is called concurrently
+    from worker threads, so it must be pointwise and safe to call from
+    several threads at once.  A block that holds a degenerate element or a
+    non-finite source value raises a ``ValueError`` naming the element by
+    global index; every range finishes first, and the error raised is that
+    of the lowest failing block, the one the serial pass raises.
     """
     if not (np.isfinite(nu) and nu >= 0):
         raise ValueError(f"nu must be finite and nonnegative, got {nu}")
+    check_threads(threads)
     if f is None:
         f = lambda x, y: np.ones_like(x)
     index = build_index_arrays(m)
@@ -143,27 +159,33 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None) -> ElementBatch:
     areas = np.empty(n_e)
     load = np.empty(n_e)
     xs, ys = m.nodes.T
-    for lo in range(0, n_e, GATHER_BLOCK):
-        blk = slice(lo, lo + GATHER_BLOCK)
-        corners = m.elements[blk].T.astype(np.intp)
-        x, y = xs[corners], ys[corners]  # x[j, e]: x of the block's element e's node j
-        a, grads = _geometry(x, y, lo)
-        k = np.einsum("kie,kje->ije", grads, grads)
-        k *= a
-        if nu > 0:
-            k += nu * _mass(a)
-        store[:, blk].transpose(0, 2, 1)[...] = k
-        areas[blk] = a
-        # centroids summed corner by corner and divided by 3: the arithmetic
-        # of nodes[elements].mean(axis=1)
-        vals = f((x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0)
-        vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), a.shape)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("source function returned non-finite values")
-        load[blk] = vals * a / 3.0
-    # the last block's temporaries (~3 MB) are dropped before ElementBatch
-    # assembles the load beside the finished arrays, not kept through it
-    corners = x = y = a = grads = k = vals = None
+    size = GATHER_BLOCK
+
+    def run(k0, k1):
+        for lo in range(k0 * size, k1 * size, size):
+            blk = slice(lo, lo + size)
+            corners = m.elements[blk].T.astype(np.intp)
+            x, y = xs[corners], ys[corners]  # x[j, e]: x of the block's element e's node j
+            a, grads = _geometry(x, y, lo)
+            k = np.einsum("kie,kje->ije", grads, grads)
+            k *= a
+            if nu > 0:
+                k += nu * _mass(a)
+            store[:, blk].transpose(0, 2, 1)[...] = k
+            areas[blk] = a
+            # centroids summed corner by corner and divided by 3: the arithmetic
+            # of nodes[elements].mean(axis=1)
+            vals = f((x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0)
+            vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), a.shape)
+            finite = np.isfinite(vals)
+            if not finite.all():
+                raise ValueError("source function returned a non-finite value at "
+                                 f"element {lo + int(np.argmin(finite))}")
+            load[blk] = vals * a / 3.0
+
+    # each range's temporaries (~3 MB a block) are freed when it returns,
+    # before ElementBatch assembles the load beside the finished arrays
+    _split(run, -(-n_e // size), threads)
     return ElementBatch(
         A_e=store.transpose(0, 2, 1),
         b_e=np.broadcast_to(load, (3, n_e)),

@@ -35,7 +35,7 @@ moves off its prescribed boundary values.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -49,9 +49,10 @@ from .mesh import INDEX_MAX, Mesh, as_index_array
 if TYPE_CHECKING:
     from .elements import ElementBatch
 
-# The residual starts one pool thread per extra thread and is memory-bound,
-# so counts far above a machine's cores only add threads; this ceiling
-# keeps a mistyped --threads from starting thousands of them.
+# The residual and the batch build start one pool thread per extra thread,
+# and the residual is memory-bound, so counts far above a machine's cores
+# only add threads; this ceiling keeps a mistyped --threads from starting
+# thousands of them.
 MAX_THREADS = 64
 
 # Nodes per block of the node-blocked scatter (``IndexArrays``), whatever
@@ -271,8 +272,14 @@ class NonFiniteError(ValueError):
 
 @cache
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """One long-lived pool per size, shared by every residual call."""
+    """One long-lived pool per size, shared by every residual call and batch build."""
     return ThreadPoolExecutor(max_workers=workers)
+
+
+def check_threads(threads: int) -> None:
+    """Reject a thread count outside 1..MAX_THREADS."""
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
 
 
 def _split(fn, n: int, threads: int) -> None:
@@ -280,14 +287,19 @@ def _split(fn, n: int, threads: int) -> None:
 
     The first range runs on the calling thread, the others on the pool.
     ``threads`` outside 1..MAX_THREADS raises before any pool is built.
+    Every range finishes before ``_split`` returns or raises, so no range
+    still writes into the caller's arrays, or holds a pool worker, after
+    it; when ranges raise, the error of the lowest is raised.
     """
-    if not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
+    check_threads(threads)
     threads = min(threads, max(n, 1))
     bounds = [n * k // threads for k in range(threads + 1)]
     futures = [_pool(threads - 1).submit(fn, lo, hi)
                for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    fn(bounds[0], bounds[1])
+    try:
+        fn(bounds[0], bounds[1])
+    finally:
+        wait(futures)
     for f in futures:
         f.result()
 

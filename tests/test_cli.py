@@ -176,14 +176,30 @@ def test_same_config_same_bytes(tmp_path):
         assert pa.read_bytes() == (b / pa.name).read_bytes()
 
 
-def test_thread_count_does_not_change_output(tmp_path):
-    a, b = tmp_path / "t1", tmp_path / "t4"
-    main(["--level", "4", "--iters", "30", "--out-dir", str(a), "--threads", "1"])
-    main(["--level", "4", "--iters", "30", "--out-dir", str(b), "--threads", "4"])
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
-    for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
+    import ebsolve.cli as cli
+    from ebsolve import elements
+
+    # blocks of 50 elements, so the level-4 batch (512 elements) is split
+    # across the threads too, not only the residual
+    monkeypatch.setattr(elements, "GATHER_BLOCK", 50)
+    batch_threads = []
+    build = cli.build_element_batch
+
+    def recording_build(*args, **kwargs):
+        batch_threads.append(kwargs.get("threads"))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_element_batch", recording_build)
+    outs = {t: tmp_path / f"t{t}" for t in (1, 2, 3, 4)}
+    for t, out in outs.items():
+        main(["--level", "4", "--iters", "30", "--out-dir", str(out), "--threads", str(t)])
+    assert batch_threads == list(outs)
+    names = sorted(p.name for p in outs[1].iterdir())
+    for out in outs.values():
+        assert names == sorted(p.name for p in out.iterdir())
+        for name in names:
+            assert (out / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_vtk_export(tmp_path):

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -7,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import perturbed_mesh, stacked_signed_areas
+from conftest import perturbed_mesh, shuffled, stacked_signed_areas
 
 from ebsolve import elements
+from ebsolve.operators import MAX_THREADS
 from ebsolve import (
     ElementBatch,
     Mesh,
@@ -248,6 +251,103 @@ def test_degenerate_element_named_by_global_index(block):
     with mock.patch.object(elements, "GATHER_BLOCK", block), \
             pytest.raises(ValueError, match="degenerate element 100:"):
         build_element_batch(sliver)
+
+
+def with_slivers(m, at):
+    """``m`` with a sliver on three extra nodes inserted as element i, for each i in ``at``."""
+    nodes, tri = m.nodes, m.elements
+    for i in sorted(at):
+        n = len(nodes)
+        nodes = np.vstack([nodes, [[2.0, 2.0], [2.0 + 1e-8, 2.0], [2.0, 2.0 + 1e-8]]])
+        tri = np.insert(tri, i, [n, n + 1, n + 2], axis=0)
+    return Mesh(nodes, tri, m.boundary_nodes)
+
+
+def nan_at_centroids_of(m, at):
+    """A source that is NaN at the centroids of elements ``at`` and 1 elsewhere."""
+    p = m.nodes[m.elements[list(at)]]
+    bad = {((p[e, 0, 0] + p[e, 1, 0] + p[e, 2, 0]) / 3.0,
+            (p[e, 0, 1] + p[e, 1, 1] + p[e, 2, 1]) / 3.0) for e in range(len(at))}
+    return lambda x, y: np.array([np.nan if (u, v) in bad else 1.0 for u, v in zip(x, y)])
+
+
+# 128 to 130 elements in 8 or 9 blocks of 16: element 100 lies in the last
+# range, which a pool worker runs, and 20 in the calling thread's range; 60
+# lies in the calling thread's range on 2 threads and in a worker's on 3
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("at", [(100,), (20, 100), (60, 100)])
+def test_bad_element_named_by_lowest_global_index_on_any_thread_count(threads, at):
+    m = perturbed_mesh(3, 0.1, 5)
+    with mock.patch.object(elements, "GATHER_BLOCK", 16):
+        with pytest.raises(ValueError, match=f"degenerate element {at[0]}:"):
+            build_element_batch(with_slivers(m, at), threads=threads)
+        with pytest.raises(ValueError, match=f"non-finite value at element {at[0]}$"):
+            build_element_batch(m, f=nan_at_centroids_of(m, at), threads=threads)
+
+
+def test_thread_count_outside_cap_raises_before_anything_is_allocated(monkeypatch):
+    def no_index(m):
+        raise AssertionError("index arrays were built")
+
+    monkeypatch.setattr(elements, "build_index_arrays", no_index)
+    m = build_unit_square_mesh(2)
+    for threads in (0, -1, MAX_THREADS + 1):
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_THREADS}"):
+            build_element_batch(m, threads=threads)
+
+
+@pytest.mark.parametrize("nu", [0.0, 3.5])
+@pytest.mark.parametrize("swaps", [0, -1])
+def test_batch_is_bitwise_independent_of_threads(nu, swaps):
+    # blocks of 7 elements: every thread takes several of the 128 elements' blocks
+    m = shuffled(perturbed_mesh(3, 0.1, 9), 3, swaps)
+    callers = set()
+
+    def f(x, y):
+        callers.add(threading.get_ident())
+        return np.sin(7.0 * x) * np.exp(y)
+
+    with mock.patch.object(elements, "GATHER_BLOCK", 7):
+        batches = {t: build_element_batch(m, nu=nu, f=f, threads=t) for t in (1, 2, 3)}
+    # the pool's ranges really ran on other threads
+    assert len(callers) >= 2
+    ref = batches[1]
+    for batch in batches.values():
+        for name in ("A_e", "b_e", "areas", "b"):
+            assert getattr(batch, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def test_concurrent_batch_builds_share_the_pool():
+    # several callers at once on the shared pools, more threads than cores,
+    # with frequent switches: every batch must still be bitwise serial
+    m = perturbed_mesh(3, 0.1, 2)
+    fields = ("A_e", "b_e", "areas", "b")
+    errors = []
+    with mock.patch.object(elements, "GATHER_BLOCK", 7):
+        ref = build_element_batch(m, nu=2.0)
+
+        def caller(k):
+            try:
+                for _ in range(5):
+                    batch = build_element_batch(m, nu=2.0, threads=2 + k % 3)
+                    if any(getattr(batch, n).tobytes() != getattr(ref, n).tobytes()
+                           for n in fields):
+                        errors.append(k)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert errors == []
 
 
 def test_area_that_is_not_a_number_is_rejected():

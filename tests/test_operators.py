@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -419,6 +420,29 @@ def test_concurrent_residuals_share_the_pool():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert errors == []
+
+
+def test_split_waits_for_every_range_and_raises_the_lowest_failure():
+    # the calling thread's range 0 fails at once while the pool's ranges are
+    # still running: _split returns only after they finish, and raises the
+    # error of the lowest range that failed
+    for failing, want in (({0, 2}, "range 0"), ({1, 2}, "range 1"), ({2}, "range 2")):
+        finished = []
+
+        def fn(lo, hi):
+            if lo > 0:
+                time.sleep(0.05 * lo)
+            finished.append(lo)
+            if lo in failing:
+                raise ValueError(f"range {lo}")
+
+        with pytest.raises(ValueError, match=want):
+            operators._split(fn, 3, 3)
+        assert sorted(finished) == [0, 1, 2]
+    # the pool is free again: the next call's ranges all run
+    seen = []
+    operators._split(lambda lo, hi: seen.append((lo, hi)), 3, 3)
+    assert sorted(seen) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_csr_matvec_contract():
