@@ -98,6 +98,21 @@ def shuffled(m, seed, swaps):
     return Mesh(m.nodes, m.elements[order], m.boundary_nodes)
 
 
+def renumbered(m, seed):
+    """``m`` with its nodes renumbered by a seeded random permutation.
+
+    Returns the mesh and ``new``, the new index of each of ``m``'s nodes, so
+    that ``u[new]`` reads a solution on the renumbered mesh in ``m``'s
+    order.  Elements keep their order and their corners' cyclic order, so
+    every triangle stays counterclockwise; only the node numbering, which
+    a fill-reducing ordering of the assembled matrix starts from, changes.
+    """
+    new = np.random.default_rng(seed).permutation(m.n_nodes)
+    nodes = np.empty_like(m.nodes)
+    nodes[new] = m.nodes
+    return Mesh(nodes, new[m.elements], np.sort(new[m.boundary_nodes])), new
+
+
 def uniform_refine(m):
     """Split every triangle into 4 congruent children via edge midpoints.
 

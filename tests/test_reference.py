@@ -1,12 +1,18 @@
+import subprocess
+import sys
+import time
 from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ebsolve.reference
-from conftest import make_problem
+from conftest import make_problem, perturbed_mesh, renumbered
 
 from ebsolve import (
     DirichletData,
@@ -15,6 +21,7 @@ from ebsolve import (
     assemble_sparse,
     build_element_batch,
     build_unit_square_mesh,
+    constant_dirichlet,
     dense_interior_eigenvalues,
     local_mass_batch,
     local_stiffness_batch,
@@ -76,8 +83,6 @@ def test_level1_interior_value():
 
 
 def test_zero_source_gives_constant_solution():
-    from ebsolve import build_element_batch, build_unit_square_mesh, constant_dirichlet
-
     m = build_unit_square_mesh(3)
     batch = build_element_batch(m, f=lambda x, y: np.zeros_like(x))
     d = constant_dirichlet(m, 1.0)
@@ -119,10 +124,12 @@ def test_cg_fallback_matches_direct(monkeypatch):
 
 
 @pytest.mark.parametrize("nu", [0.0, 100.0])
-@pytest.mark.parametrize("level", range(3, 8))
+@pytest.mark.parametrize("level", range(3, 9))
 def test_minimum_degree_solve_agrees_with_colamd(level, nu):
-    # the direct solve orders by minimum degree on A's symmetric pattern;
-    # SuperLU's default COLAMD gives the same solution up to round-off
+    # the direct solve renumbers the free-node system by reverse
+    # Cuthill-McKee and orders it by minimum degree on its symmetric
+    # pattern; SuperLU's default COLAMD on the system as numbered gives the
+    # same solution up to round-off
     m, batch, d, b = make_problem(level, nu=nu)
     A = assemble_sparse(batch.A_e, batch.index.indt).tocsr()
     with mock.patch.object(scipy.sparse.linalg, "spsolve",
@@ -131,10 +138,61 @@ def test_minimum_degree_solve_agrees_with_colamd(level, nu):
     assert spsolve.call_args.kwargs["permc_spec"] == "MMD_AT_PLUS_A"
     free = np.setdiff1d(np.arange(m.n_nodes), d.nd)
     rhs = b[free] - A[free][:, d.nd] @ d.values
+    Aff = A[free][:, free]
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(Aff, symmetric_mode=True)
+    assert np.any(perm != np.arange(free.size))
+    solved, solved_rhs = spsolve.call_args.args
+    assert (solved != Aff[perm][:, perm]).nnz == 0
+    assert solved_rhs.tobytes() == rhs[perm].tobytes()
     ref = u.copy()
-    ref[free] = scipy.sparse.linalg.spsolve(A[free][:, free].tocsc(), rhs, permc_spec="COLAMD")
+    ref[free] = scipy.sparse.linalg.spsolve(Aff.tocsc(), rhs, permc_spec="COLAMD")
     assert np.all(u[d.nd] == d.values)
     npt.assert_allclose(u, ref, rtol=1e-12, atol=0.0)
+
+
+def direct_solution(m, nu=0.0):
+    batch = build_element_batch(m, nu=nu)
+    A = assemble_sparse(batch.A_e, batch.index.indt, n_nodes=m.n_nodes)
+    t0 = time.perf_counter()
+    u = solve_reference(A, batch.b, constant_dirichlet(m, 1.0))
+    return u, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("level", range(2, 8))
+def test_direct_solve_does_not_depend_on_node_numbering(level):
+    # minimum degree alone took ~12 s on a randomly renumbered level-7
+    # grid (~50 ms in grid order); after reverse Cuthill-McKee both take
+    # ~40 ms
+    grid = build_unit_square_mesh(level)
+    m, new = renumbered(grid, level)
+    u, seconds = direct_solution(m)
+    npt.assert_allclose(u[new], direct_solution(grid)[0], rtol=1e-12, atol=0.0)
+    if level == 7:
+        assert seconds < 1.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(level=st.integers(2, 4), amp=st.floats(0.0, 0.1), nu=st.floats(0.0, 100.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_direct_solve_on_renumbered_perturbed_mesh(level, amp, nu, seed):
+    m = perturbed_mesh(level, amp, seed)
+    r, new = renumbered(m, seed)
+    npt.assert_allclose(direct_solution(r, nu)[0][new], direct_solution(m, nu)[0],
+                        rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("compare_direct", [False, True])
+def test_csgraph_is_imported_only_by_a_direct_solve(compare_direct):
+    # scipy.sparse.csgraph costs ~1 MB of resident memory; a run with no
+    # reference solve must not import it
+    code = ("import sys\n"
+            "from ebsolve.cli import ExperimentConfig, run_experiment\n"
+            f"run_experiment(ExperimentConfig(level=3, iters=4, solver='cheb3', "
+            f"compare_direct={compare_direct}))\n"
+            "print('scipy.sparse.csgraph' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(compare_direct)]
 
 
 def test_dense_eigenvalues_level1():
