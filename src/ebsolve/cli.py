@@ -21,7 +21,7 @@ import numpy as np
 from .elements import build_element_batch
 from .mesh import MAX_LEVEL, Mesh, build_unit_square_mesh
 from .operators import MAX_THREADS, constant_dirichlet
-from .reference import assemble_sparse, solve_reference
+from .reference import MAX_DIRECT_UNKNOWNS, assemble_sparse, solve_reference
 from .solvers import ConvergenceHistory, chebyshev2, chebyshev3, richardson
 from .spectrum import operator_bounds
 
@@ -56,12 +56,16 @@ class SolverRun:
 
     x: np.ndarray
     history: ConvergenceHistory | None
-    final_error: float | None
     wall_time: float
 
     @property
     def final_residual(self) -> float | None:
         return None if self.history is None else float(self.history.residual_norms[-1])
+
+    @property
+    def final_error(self) -> float | None:
+        errors = None if self.history is None else self.history.error_norms
+        return None if errors is None else float(errors[-1])
 
     @property
     def diverged(self) -> bool:
@@ -89,6 +93,10 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             f"--level must be between 1 and {MAX_LEVEL} (got {cfg.level}); "
             "level 0 has no interior nodes to solve for"
         )
+    elif _needs_reference(cfg) and (2**cfg.level - 1) ** 2 > MAX_DIRECT_UNKNOWNS:
+        problems.append(f"--solver direct or all and --compare-direct are limited to "
+                        f"{MAX_DIRECT_UNKNOWNS} free nodes (level 10); at level {cfg.level}, "
+                        "use an iterative solver (--solver richardson, cheb2 or cheb3) alone")
     if cfg.iters < 0:
         problems.append(f"--iters must be nonnegative (got {cfg.iters})")
     if not (np.isfinite(cfg.nu) and cfg.nu >= 0):
@@ -108,6 +116,10 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             "drop cheb3 via --solver"
         )
     return problems
+
+
+def _needs_reference(cfg: ExperimentConfig) -> bool:
+    return cfg.compare_direct or cfg.solver in ("direct", "all")
 
 
 def _requested_solvers(choice: str) -> list[str]:
@@ -133,10 +145,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if solvers:
         bounds = operator_bounds(batch, dirichlet)
 
-    need_reference = cfg.compare_direct or cfg.solver in ("direct", "all")
     reference = None
     ref_time = 0.0
-    if need_reference:
+    if _needs_reference(cfg):
         t0 = time.perf_counter()
         A = assemble_sparse(batch.A_e, batch.index.indt, n_nodes=batch.index.n_nodes)
         reference = solve_reference(A, batch.b, dirichlet)
@@ -165,21 +176,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                                  cfg.iters, **common)
         else:
             x, hist = chebyshev3(batch, dirichlet, x0, bounds, cfg.iters, **common)
-        report.runs[name] = SolverRun(
-            x=x,
-            history=hist,
-            final_error=(None if hist.error_norms is None
-                         else float(hist.error_norms[-1])),
-            wall_time=hist.wall_time,
-        )
+        report.runs[name] = SolverRun(x=x, history=hist, wall_time=hist.wall_time)
 
     if cfg.solver in ("direct", "all"):
-        report.runs["direct"] = SolverRun(
-            x=reference,
-            history=None,
-            final_error=0.0 if cfg.compare_direct else None,
-            wall_time=ref_time,
-        )
+        report.runs["direct"] = SolverRun(x=reference, history=None, wall_time=ref_time)
 
     if cfg.out_dir is not None:
         _export_all(cfg, mesh, report)
@@ -246,7 +246,7 @@ def _print_report(report: ExperimentReport) -> None:
         line = (f"  {name:10s} wall {run.wall_time:8.3f}s  "
                 f"||r||: {run.history.residual_norms[0]:.3e} -> "
                 f"{run.final_residual:.3e}  [{status}]")
-        if run.final_error is not None and run.history.error_norms is not None:
+        if run.final_error is not None:
             e0 = run.history.error_norms[0]
             ratio = run.final_error / e0 if e0 > 0 else 0.0
             line += f"  ||x-u||/||e0||: {ratio:.3e}"
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=defaults.iters,
                    help="iteration budget (default %(default)s)")
     p.add_argument("--solver", choices=SOLVER_CHOICES, default=defaults.solver,
-                   help="which solver(s) to run (default %(default)s)")
+                   help="solver(s) to run; direct and all at level <= 10 (default %(default)s)")
     p.add_argument("--cycle-n", type=int, default=defaults.cycle_n,
                    help=f"two-level Chebyshev cycle length N, at most {MAX_CYCLE_N} "
                         "(default %(default)s)")
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write solutions as legacy VTK instead of CSV")
     p.add_argument("--compare-direct", action="store_true",
                    default=defaults.compare_direct,
-                   help="also solve via assembled matrix and record error norms")
+                   help="also solve the assembled system (level <= 10) and record error norms")
     return p
 
 

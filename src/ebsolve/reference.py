@@ -8,8 +8,8 @@ solve is SuperLU on the reduced free-node system, renumbered first by
 reverse Cuthill-McKee (Cuthill & McKee 1969) and then ordered by minimum
 degree on its symmetric pattern (``MMD_AT_PLUS_A``; George & Liu 1989), so
 that its fill and time do not depend on how the mesh numbers its nodes.
-Conjugate gradients take over once that system exceeds ``_DIRECT_LIMIT``
-unknowns.
+It is the only solve.  Its memory grows ~4x per level (2.2 GB at level 10),
+so systems above ``MAX_DIRECT_UNKNOWNS`` free nodes, level 10's count, are refused.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ import scipy.sparse.linalg
 
 from .operators import DirichletData, node_count
 
-# above this many unknowns a direct factorization stops being "small"
-_DIRECT_LIMIT = 200_000
+MAX_DIRECT_UNKNOWNS = 1023**2  # the free nodes of the level-10 unit-square grid
 _DENSE_EIG_LIMIT = 2000
-_CG_RTOL = 1e-13
 
 
 def assemble_sparse(slices: np.ndarray, indt: np.ndarray,
@@ -64,41 +62,42 @@ def solve_reference(
     """Reference solution with constrained values eliminated exactly.
 
     Constrained rows/columns are removed, their known values moved to the
-    right-hand side, and the reduced SPD system is solved directly (or by
-    conjugate gradients with a tight tolerance once it is too large for a
-    factorization).  Prescribed values are reinserted afterwards.
+    right-hand side, and the reduced SPD system is solved directly.
+    Prescribed values are reinserted afterwards.  ``b`` must have shape
+    ``(n,)``; more than ``MAX_DIRECT_UNKNOWNS`` free nodes raise ``ValueError``.
     """
     A = A.tocsr()
     n = A.shape[0]
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (n,):
+        raise ValueError(f"b has shape {b.shape}, but a {n}x{n} system needs shape {(n,)}")
     free = _free_nodes(n, d)
+    if free.size > MAX_DIRECT_UNKNOWNS:
+        raise ValueError(f"{free.size} free nodes exceed the direct solve's limit "
+                         f"MAX_DIRECT_UNKNOWNS = {MAX_DIRECT_UNKNOWNS} (level 10)")
     x = np.zeros(n)
     x[d.nd] = d.values
     if free.size == 0:
         return x
 
-    rhs = np.asarray(b, dtype=np.float64)[free]
+    rhs = b[free]
     A_free = A[free]
     if d.nd.size:
         rhs = rhs - A_free[:, d.nd] @ d.values
     Aff = A_free[:, free]
 
-    if free.size <= _DIRECT_LIMIT:
-        # reverse Cuthill-McKee, then minimum degree on the pattern of
-        # A^T + A, Aff's own: at level 8 (nu = 0) 4.30 M L+U nonzeros,
-        # against 5.22 M for minimum degree alone and 8.88 M for SuperLU's
-        # default COLAMD.  Minimum degree alone also depends on the
-        # numbering it starts from: on a randomly renumbered level-7 grid
-        # it took ~12 s against ~50 ms in grid order; after RCM both take
-        # ~40 ms.  free follows the permutation, so x[free] = sol below
-        # scatters the solution back.  csgraph is looked up here, so that
-        # runs without a reference never import it.
-        perm = scipy.sparse.csgraph.reverse_cuthill_mckee(Aff, symmetric_mode=True)
-        Aff, rhs, free = Aff[perm][:, perm], rhs[perm], free[perm]
-        sol = scipy.sparse.linalg.spsolve(Aff.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
-    else:
-        sol, info = scipy.sparse.linalg.cg(Aff, rhs, rtol=_CG_RTOL, maxiter=20 * free.size)
-        if info != 0:
-            raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
+    # reverse Cuthill-McKee, then minimum degree on the pattern of A^T + A,
+    # Aff's own: at level 8 (nu = 0) 4.30 M L+U nonzeros, against 5.22 M
+    # for minimum degree alone and 8.88 M for SuperLU's default COLAMD.
+    # Minimum degree alone also depends on the numbering it starts from: on
+    # a randomly renumbered level-7 grid it took ~12 s against ~50 ms in
+    # grid order; after RCM both take ~40 ms.  free follows the
+    # permutation, so x[free] = sol below scatters the solution back.
+    # csgraph is looked up here, so that runs without a reference never
+    # import it.
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(Aff, symmetric_mode=True)
+    Aff, rhs, free = Aff[perm][:, perm], rhs[perm], free[perm]
+    sol = scipy.sparse.linalg.spsolve(Aff.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("factorization produced non-finite values (system not SPD?)")
     check = np.linalg.norm(Aff @ sol - rhs)

@@ -8,6 +8,7 @@ import pytest
 from ebsolve import SpectralBounds, build_unit_square_mesh
 from ebsolve.operators import MAX_THREADS
 from ebsolve.cli import (
+    ITERATIVE_SOLVERS,
     ExperimentConfig,
     _validate,
     build_parser,
@@ -54,6 +55,32 @@ def test_main_rejects_bad_level(capsys):
     assert main(["--level", "13"]) == 2
     err = capsys.readouterr().err
     assert "--level" in err
+
+
+def test_main_refuses_a_direct_solve_above_level_10(monkeypatch, capsys):
+    # refused before any mesh is built: the level-10 reference already
+    # peaks at ~2.2 GB, and its memory grows ~4x per level
+    import ebsolve.cli as cli
+
+    def no_mesh(level):
+        raise AssertionError(f"a level-{level} mesh was built")
+
+    monkeypatch.setattr(cli, "build_unit_square_mesh", no_mesh)
+    assert main(["--level", "11"]) == 2
+    assert main(["--level", "11", "--solver", "direct"]) == 2
+    assert main(["--level", "11", "--solver", "cheb3", "--compare-direct"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    for line in err:
+        assert str(cli.MAX_DIRECT_UNKNOWNS) in line and "level 10" in line
+        assert "iterative solver" in line and "--solver richardson, cheb2 or cheb3" in line
+    for level in (11, 12):
+        for solver in ITERATIVE_SOLVERS:
+            assert _validate(ExperimentConfig(level=level, solver=solver)) == []
+    for solver in ("direct", "all"):
+        assert _validate(ExperimentConfig(level=10, solver=solver)) == []
+        assert len(_validate(ExperimentConfig(level=12, solver=solver))) == 1
+    assert _validate(ExperimentConfig(level=10, solver="cheb2", compare_direct=True)) == []
 
 
 def test_main_rejects_cheb3_on_level1(capsys):
@@ -264,6 +291,7 @@ def test_report_contents():
         assert run.final_error == run.history.error_norms[-1]
         assert not run.diverged
     assert report.runs["direct"].history is None
+    assert report.runs["direct"].final_error is None
     assert not report.any_diverged
 
 

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import time
@@ -114,13 +115,35 @@ def test_reference_maximum_location():
     assert u[center] > 1.0
 
 
-def test_cg_fallback_matches_direct(monkeypatch):
+def test_solve_reference_refuses_more_free_nodes_than_the_limit(monkeypatch):
+    # refused before anything is factorized, with no other method to fall to;
+    # the limit is the level-10 grid's free-node count
+    assert ebsolve.reference.MAX_DIRECT_UNKNOWNS == (2**10 - 1) ** 2
     m, batch, d, b = make_problem(3)
     A = assemble_sparse(batch.A_e, batch.index.indt)
-    u_direct = solve_reference(A, b, d)
-    monkeypatch.setattr(ebsolve.reference, "_DIRECT_LIMIT", 10)
-    u_cg = solve_reference(A, b, d)
-    npt.assert_allclose(u_cg, u_direct, atol=1e-9)
+    free = m.n_nodes - d.nd.size
+    assert free == 49
+    monkeypatch.setattr(ebsolve.reference, "MAX_DIRECT_UNKNOWNS", free)
+    u = solve_reference(A, b, d)
+    monkeypatch.setattr(ebsolve.reference, "MAX_DIRECT_UNKNOWNS", free - 1)
+    with mock.patch.object(scipy.sparse.linalg, "spsolve",
+                           side_effect=AssertionError("spsolve reached")) as spsolve:
+        with pytest.raises(ValueError, match="49 free nodes exceed .*limit.* 48"):
+            solve_reference(A, b, d)
+    spsolve.assert_not_called()
+    assert np.all(np.isfinite(u))
+
+
+def test_solve_reference_rejects_a_right_hand_side_of_another_shape():
+    m, batch, d, b = make_problem(3)
+    A = assemble_sparse(batch.A_e, batch.index.indt)
+    # the last node is a boundary corner, so a b without it still holds every
+    # free entry the solve reads; it is refused all the same
+    assert m.n_nodes - 1 in d.nd
+    for bad in (np.append(b, 0.0), b[:-1], b[:, None]):
+        names_both = re.escape(f"shape {bad.shape}") + r".*shape \(81,\)"
+        with pytest.raises(ValueError, match=names_both):
+            solve_reference(A, bad, d)
 
 
 @pytest.mark.parametrize("nu", [0.0, 100.0])
