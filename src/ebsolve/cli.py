@@ -166,7 +166,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     common = dict(
         tol=cfg.tol,
         reference=reference if cfg.compare_direct else None,
-        threads=cfg.threads,
     )
     for name in solvers:
         if name == "richardson":

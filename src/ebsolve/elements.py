@@ -58,7 +58,8 @@ class ElementBatch:
     b_e is a read-only broadcast view of one per-element load vector and
     ``index.indt`` a view of the mesh's connectivity.  The batch keeps no
     mesh: ``local_stiffness_batch(m)`` and ``local_mass_batch(m)`` give
-    K_e and M_e for the mesh it was built from.
+    K_e and M_e for the mesh it was built from.  ``threads`` (1 to
+    ``MAX_THREADS``) is every residual's worker count; ``b`` is summed serially.
     """
 
     A_e: npt.NDArray[np.float64]
@@ -66,9 +67,11 @@ class ElementBatch:
     areas: npt.NDArray[np.float64]
     nu: float
     index: IndexArrays
+    threads: int = 1
     b: npt.NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_threads(self.threads)
         n_e = self.index.indt.shape[1]
         if self.A_e.shape != (3, 3, n_e):
             raise ValueError(f"A_e must have shape (3, 3, {n_e}), got {self.A_e.shape}")
@@ -138,8 +141,9 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None, threads: int = 1) -> E
 
     Contiguous ranges of blocks run on ``threads`` workers of the
     long-lived pool the residual uses, the calling thread taking the first
-    range; ``threads`` outside 1..``operators.MAX_THREADS`` raises
-    ``ValueError`` before anything is allocated.  Each block writes only its own
+    range, and the batch keeps the count for its residuals; ``threads``
+    outside 1..``operators.MAX_THREADS`` raises ``ValueError`` before
+    anything is allocated.  Each block writes only its own
     slices of the stored arrays, so the batch is bitwise independent of
     ``threads``.  With more than one thread ``f`` is called concurrently
     from worker threads, so it must be pointwise and safe to call from
@@ -192,6 +196,7 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None, threads: int = 1) -> E
         areas=areas,
         nu=float(nu),
         index=index,
+        threads=threads,
     )
 
 

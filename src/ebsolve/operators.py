@@ -200,8 +200,8 @@ def build_index_arrays(m: Mesh) -> IndexArrays:
 class DirichletData:
     """Constrained node indices (sorted, unique, nonnegative) and their prescribed values.
 
-    The upper end depends on the mesh: the solvers and ``solve_reference``
-    check it with ``check_nodes``.
+    The upper end depends on the mesh: the solvers, the spectral bounds and
+    ``solve_reference`` check it with ``check_nodes``.
     """
 
     nd: npt.NDArray[np.int64]
@@ -232,6 +232,13 @@ class DirichletData:
             raise ValueError(
                 f"constrained node {self.nd[-1]} is out of range for {n_nodes} nodes"
             )
+
+    def free_mask(self, n_nodes: int) -> npt.NDArray[np.bool_]:
+        """True at the free nodes of an ``n_nodes``-node system, after ``check_nodes``."""
+        self.check_nodes(n_nodes)
+        is_free = np.ones(n_nodes, dtype=bool)
+        is_free[self.nd] = False
+        return is_free
 
 
 def constant_dirichlet(m: Mesh, value: float = 1.0) -> DirichletData:
@@ -318,9 +325,9 @@ def _scatter_blocks(index: IndexArrays, fill, threads: int, start: np.ndarray,
     shared minus ones: r[n] = ((start[n] - v1) - v2) - ..., node n's values in
     ``indt.ravel()`` order, since -1*v is exact and adding -v is
     subtracting v.  Contiguous ranges of blocks run on ``threads`` workers
-    of one long-lived pool.  Every row's arithmetic is self-contained and
-    in fixed order, so the result is bitwise independent of ``threads`` and
-    of the block size; nodes that no element references get ``start``.
+    of one long-lived pool, 1 for ``scatter``.  Every row's arithmetic is
+    self-contained and in fixed order, so the result is bitwise independent
+    of ``threads`` and of the block size; unreferenced nodes get ``start``.
     """
     def run(k0, k1):
         buf = np.empty(3 * (index.window_ptr.size - 1))  # the largest window
@@ -354,7 +361,7 @@ def scatter(index: IndexArrays, local: np.ndarray) -> npt.NDArray[np.float64]:
     return _scatter_blocks(index, negated_window, 1, np.broadcast_to(0.0, n_n), np.empty(n_n))
 
 
-def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
+def residual(batch: ElementBatch, x: np.ndarray,
              out: np.ndarray | None = None) -> npt.NDArray[np.float64]:
     """r = b - A x without forming A, into ``out`` when it is given.
 
@@ -365,10 +372,10 @@ def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
     block's rows of the batch's assembled load ``b``.  Node n's entry is
     ((b[n] - s1) - s2) - ... over its element products s_k = A_e[i, :, e] .
     x[indt[:, e]] (each summed left to right) in ``indt.ravel()`` order.
-    Every element's and every node's arithmetic is self-contained and in
-    fixed order, so the result is bitwise independent of ``threads`` and of
-    the block size.  An element whose nodes lie in two blocks is computed
-    once for each.
+    The blocks run on ``batch.threads`` workers.  Every element's and every
+    node's arithmetic is self-contained and in fixed order, so the result
+    is bitwise independent of the thread count and of the block size.  An
+    element whose nodes lie in two blocks is computed once for each.
 
     An ``x`` with a NaN or an infinite entry raises ``NonFiniteError``, a
     ``ValueError``.  Without ``out`` the result is a new vector; with it,
@@ -402,7 +409,7 @@ def residual(batch: ElementBatch, x: np.ndarray, threads: int = 1,
         for i in range(3):
             csr_matvec(w, n_n, ptr[:w + 1], cols[lo:hi], data[i, lo:hi], x, window[i])
 
-    return _scatter_blocks(index, element_products, threads, batch.b, out)
+    return _scatter_blocks(index, element_products, batch.threads, batch.b, out)
 
 
 def mask_dirichlet(r: np.ndarray, d: DirichletData) -> npt.NDArray[np.float64]:

@@ -46,14 +46,6 @@ def assemble_sparse(slices: np.ndarray, indt: np.ndarray,
     return coo.tocsr()
 
 
-def _free_nodes(n: int, d: DirichletData) -> npt.NDArray[np.intp]:
-    """The nodes of an n-node system that ``d`` leaves free, ascending."""
-    d.check_nodes(n)
-    is_free = np.ones(n, dtype=bool)
-    is_free[d.nd] = False
-    return np.flatnonzero(is_free)
-
-
 def solve_reference(
     A: scipy.sparse.spmatrix,
     b: np.ndarray,
@@ -71,7 +63,7 @@ def solve_reference(
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n,):
         raise ValueError(f"b has shape {b.shape}, but a {n}x{n} system needs shape {(n,)}")
-    free = _free_nodes(n, d)
+    free = np.flatnonzero(d.free_mask(n))
     if free.size > MAX_DIRECT_UNKNOWNS:
         raise ValueError(f"{free.size} free nodes exceed the direct solve's limit "
                          f"MAX_DIRECT_UNKNOWNS = {MAX_DIRECT_UNKNOWNS} (level 10)")
@@ -115,7 +107,7 @@ def dense_interior_eigenvalues(
 ) -> npt.NDArray[np.float64]:
     """Full sorted spectrum of the free-node principal submatrix (small systems)."""
     A = A.tocsr()
-    free = _free_nodes(A.shape[0], d)
+    free = np.flatnonzero(d.free_mask(A.shape[0]))
     if free.size > _DENSE_EIG_LIMIT:
         raise ValueError(
             f"{free.size} free nodes exceed the dense-eigensolver guard "

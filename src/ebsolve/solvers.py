@@ -125,8 +125,7 @@ def chebyshev_scaling_factor(bounds: SpectralBounds, k: int) -> float:
     return c_cur
 
 
-def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
-             threads):
+def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback):
     """Shared solver loop; ``advance(k, x, r)`` updates x in place and may
     overwrite r, which the next residual call refills."""
     if iters < 0:
@@ -152,7 +151,7 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback,
             if k > 0:
                 advance(k - 1, x, r)
             try:
-                r = mask_dirichlet(residual(batch, x, threads, out=r), dirichlet)
+                r = mask_dirichlet(residual(batch, x, out=r), dirichlet)
             except NonFiniteError:
                 # residual's input check is the step's one test of the
                 # iterate; a non-finite x0 is the caller's error
@@ -195,7 +194,6 @@ def richardson(
     tol: float | None = None,
     reference: np.ndarray | None = None,
     callback=None,
-    threads: int = 1,
 ):
     """Damped Richardson iteration with the optimal fixed step 2/(lam1+lam2)."""
     omega = 2.0 / (bounds.lambda1 + bounds.lambda2)
@@ -205,7 +203,7 @@ def richardson(
         x += r
 
     return _iterate(batch, d, x0, iters, advance, tol=tol, reference=reference,
-                    callback=callback, threads=threads)
+                    callback=callback)
 
 
 def chebyshev2(
@@ -219,7 +217,6 @@ def chebyshev2(
     tol: float | None = None,
     reference: np.ndarray | None = None,
     callback=None,
-    threads: int = 1,
 ):
     """Cyclic two-level Chebyshev iteration (roots in natural order).
 
@@ -235,7 +232,7 @@ def chebyshev2(
         x += r
 
     return _iterate(batch, d, x0, iters, advance, tol=tol, reference=reference,
-                    callback=callback, threads=threads)
+                    callback=callback)
 
 
 def chebyshev3(
@@ -248,7 +245,6 @@ def chebyshev3(
     tol: float | None = None,
     reference: np.ndarray | None = None,
     callback=None,
-    threads: int = 1,
 ):
     """Three-level Chebyshev iteration via the stable two-term recurrence.
 
@@ -285,4 +281,4 @@ def chebyshev3(
         x += r
 
     return _iterate(batch, d, x0, iters, advance, tol=tol, reference=reference,
-                    callback=callback, threads=threads)
+                    callback=callback)

@@ -77,9 +77,7 @@ def mass_bounds(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
     """
     index = batch.index
     node_area = scatter(index, np.broadcast_to(batch.areas, index.indt.shape))
-    is_free = np.ones(index.n_nodes, dtype=bool)
-    is_free[d.nd] = False
-    s = node_area[is_free]
+    s = node_area[d.free_mask(index.n_nodes)]
     if s.size == 0:
         raise ValueError("no free nodes")
     return float(s.min()) / 12.0, float(s.max()) / 3.0
@@ -152,13 +150,14 @@ def operator_bounds(batch: ElementBatch, d: DirichletData) -> SpectralBounds:
     about u*||A||, far inside the bound's own slack on the grid (4e-5
     relative at level 8, nu = 100) but not covered by the allowance.
 
-    All branches assume that the batch is the structured grid with n nodes
-    per side, n = sqrt(n_nodes); a node count that is not a square raises.
+    All branches assume the structured grid, n = sqrt(n_nodes) nodes per
+    side; a non-square node count or a constrained node beyond it raises.
     """
     n_nodes = batch.index.n_nodes
     n = isqrt(n_nodes)
     if n * n != n_nodes:
         raise ValueError(f"{n_nodes} nodes do not form a square grid")
+    d.check_nodes(n_nodes)
     nu = batch.nu
     base = model_eigen_bounds(n)
     if nu == 0.0:

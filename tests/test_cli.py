@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -35,6 +37,23 @@ def test_parser_defaults():
     assert args.out_dir is None
     assert args.export_vtk is False
     assert args.compare_direct is False
+
+
+def test_readme_flag_table_matches_the_parser():
+    # one row per long option, its default as the parser's: "off" for
+    # None/False, numbers as %g, strings bare (the table may quote them)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(--[\w-]+)[^`]*` \| ([^|]+) \|", readme, re.M)
+    table = {flag: default.strip().strip("`") for flag, default in rows}
+    parser = {}
+    for action in build_parser()._actions:
+        flag = max(action.option_strings, key=len, default="")
+        if flag.startswith("--") and flag != "--help":
+            d = action.default
+            parser[flag] = ("off" if d is None or d is False
+                            else f"{d:g}" if isinstance(d, (int, float)) else str(d))
+    assert len(rows) == len(table)
+    assert table == parser
 
 
 def test_main_writes_expected_files(tmp_path, capsys):

@@ -312,7 +312,8 @@ def test_batch_is_bitwise_independent_of_threads(nu, swaps):
     # the pool's ranges really ran on other threads
     assert len(callers) >= 2
     ref = batches[1]
-    for batch in batches.values():
+    for t, batch in batches.items():
+        assert batch.threads == t  # the count its residuals run on
         for name in ("A_e", "b_e", "areas", "b"):
             assert getattr(batch, name).tobytes() == getattr(ref, name).tobytes(), name
 

@@ -17,6 +17,7 @@ from ebsolve.operators import MAX_THREADS, SCATTER_BLOCK, WINDOW_SLACK, ScatterB
 
 from ebsolve import (
     DirichletData,
+    ElementBatch,
     IndexArrays,
     Mesh,
     assemble_rhs,
@@ -118,9 +119,9 @@ def test_residual_matches_assembled_matrix():
 def test_residual_threads_bitwise_identical():
     m, batch, _, _ = make_problem(4)
     x = np.random.default_rng(3).standard_normal(m.n_nodes)
-    r1 = residual(batch, x, threads=1)
+    r1 = residual(batch, x)
     for threads in (2, 3, 4, 8):
-        npt.assert_array_equal(residual(batch, x, threads=threads), r1)
+        npt.assert_array_equal(residual(dataclasses.replace(batch, threads=threads), x), r1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -136,7 +137,8 @@ def test_residual_matches_oracle_on_perturbed_mesh(level, amp, nu, seed):
     r_ref = b - A @ x
     assert np.linalg.norm(r - r_ref) <= 1e-12 * np.linalg.norm(r_ref)
     for threads in (2, 3):
-        assert residual(batch, x, threads=threads).tobytes() == r.tobytes()
+        on = dataclasses.replace(batch, threads=threads)
+        assert residual(on, x).tobytes() == r.tobytes()
 
 
 def bincount_residual(batch, x):
@@ -186,7 +188,8 @@ def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, size, seed):
     x = np.random.default_rng(seed).standard_normal(m.n_nodes)
     ref = bincount_residual(batch, x)
     for threads in (1, 2, 3, 4, 8):
-        assert residual(batch, x, threads=threads).tobytes() == ref.tobytes()
+        on = dataclasses.replace(batch, threads=threads)
+        assert residual(on, x).tobytes() == ref.tobytes()
     if kind.startswith("unreferenced"):
         lone = 0 if kind == "unreferenced-first" else m.n_nodes - 1
         assert ref[lone] == 0.0
@@ -224,7 +227,8 @@ def test_shuffled_elements_stay_within_the_window_slack_or_fall_back(level, size
     ref = bincount_residual(batch, x)
     ref_scatter = np.bincount(idx.indt.ravel(), local.ravel(), minlength=m.n_nodes)
     for threads in (1, 2, 3):
-        assert residual(batch, x, threads=threads).tobytes() == ref.tobytes()
+        on = dataclasses.replace(batch, threads=threads)
+        assert residual(on, x).tobytes() == ref.tobytes()
     assert operators.scatter(idx, local).tobytes() == ref_scatter.tobytes()
 
 
@@ -385,8 +389,9 @@ def test_residual_reuses_one_pool(monkeypatch):
 
     monkeypatch.setattr(operators, "ThreadPoolExecutor", CountingPool)
     ref = residual(batch, x)
+    on_two = dataclasses.replace(batch, threads=2)
     for _ in range(20):
-        assert residual(batch, x, threads=2).tobytes() == ref.tobytes()
+        assert residual(on_two, x).tobytes() == ref.tobytes()
     assert len(built) <= 1
 
 
@@ -397,12 +402,13 @@ def test_concurrent_residuals_share_the_pool():
         m, batch, _, _ = make_problem(5)
     xs = [np.random.default_rng(s).standard_normal(m.n_nodes) for s in range(4)]
     refs = [residual(batch, x).tobytes() for x in xs]
+    batches = [dataclasses.replace(batch, threads=2 + k % 3) for k in range(4)]
     errors = []
 
     def caller(k):
         try:
             for _ in range(10):
-                r = residual(batch, xs[k], threads=2 + k % 3)
+                r = residual(batches[k], xs[k])
                 if r.tobytes() != refs[k]:
                     errors.append(k)
         except Exception as exc:
@@ -481,13 +487,14 @@ def test_residual_into_reused_workspace_matches_fresh_calls_bitwise(monkeypatch)
     rng = np.random.default_rng(8)
     xs = [rng.standard_normal(m.n_nodes) for _ in range(4)]
     fresh = [residual(batch, x).tobytes() for x in xs]
+    batches = [dataclasses.replace(batch, threads=threads) for threads in (1, 2, 3)]
     monkeypatch.setattr(np, "empty", lambda *a, **k: np.full(*a, np.nan, **k))
     assert np.isnan(np.empty(3)).all()
-    for threads in (1, 2, 3):
+    for on in batches:
         out = np.empty(m.n_nodes)
         assert np.isnan(out).all()
         for x, ref in zip(xs, fresh):
-            r = residual(batch, x, threads, out=out)
+            r = residual(on, x, out=out)
             assert r is out
             assert r.tobytes() == ref
 
@@ -524,10 +531,11 @@ def test_one_residual_call_allocates_less_than_one_element_array():
     x = np.random.default_rng(1).standard_normal(m.n_nodes)
     local_bytes = 3 * batch.n_elements * 8
     for threads in (1, 2):
-        residual(batch, x, threads)  # the pool exists before tracing starts
+        on = dataclasses.replace(batch, threads=threads)
+        residual(on, x)  # the pool exists before tracing starts
         tracemalloc.start()
         try:
-            r = residual(batch, x, threads)
+            r = residual(on, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -541,10 +549,12 @@ def test_thread_count_outside_cap_raises_before_any_pool(monkeypatch):
         raise AssertionError(f"a pool of {workers} workers was requested")
 
     monkeypatch.setattr(operators, "_pool", no_pool)
-    x = np.zeros(m.n_nodes)
     for threads in (0, -1, MAX_THREADS + 1):
         with pytest.raises(ValueError, match=f"between 1 and {MAX_THREADS}"):
-            residual(batch, x, threads)
+            ElementBatch(batch.A_e, batch.b_e, batch.areas, batch.nu, batch.index,
+                         threads=threads)
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_THREADS}"):
+            build_element_batch(m, threads=threads)
 
 
 def test_residual_input_validation():

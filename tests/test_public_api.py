@@ -1,7 +1,9 @@
 """The surface that the benchmark harness and README's "Library use" rely on.
 
-``perfbench/`` runs outside this suite, so a trimmed export or a renamed
-attribute there would only show up as failed benchmark samples.  These
+The suite collects ``perfbench/test_perfbench.py`` too (``testpaths``), but
+those self-tests run the harness on small configurations only; the
+benchmark's own samples run outside the suite, so a trimmed export or a
+renamed attribute used only there would show up as failed samples.  These
 tests pin that surface here.
 """
 

@@ -456,8 +456,8 @@ def test_every_step_writes_into_one_workspace(monkeypatch):
     calls = []
     original = ebsolve.solvers.residual
 
-    def recorded(batch, x, threads=1, out=None):
-        r = original(batch, x, threads, out=out)
+    def recorded(batch, x, out=None):
+        r = original(batch, x, out=out)
         calls.append((out, r, x))
         return r
 

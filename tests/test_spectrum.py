@@ -180,6 +180,16 @@ def test_operator_bounds_reject_a_node_count_that_is_not_square():
             operator_bounds(build_element_batch(m, nu=nu), constant_dirichlet(m))
 
 
+@pytest.mark.parametrize("nu", [0.0, 3.0])
+def test_bounds_reject_a_constrained_node_the_batch_lacks(nu):
+    m = build_grid_mesh(5)  # 25 nodes
+    batch = build_element_batch(m, nu=nu)
+    d = DirichletData(np.array([0, 100]), np.ones(2))
+    for bounds in (operator_bounds, mass_bounds):
+        with pytest.raises(ValueError, match="constrained node 100 is out of range for 25"):
+            bounds(batch, d)
+
+
 @pytest.mark.parametrize("level", [2, 3, 4])
 @pytest.mark.parametrize("nu", [1.0, 10.0, 100.0])
 def test_operator_bounds_with_mass_term(level, nu):
