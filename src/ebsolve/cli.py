@@ -11,6 +11,7 @@ conforming start whose error is dominated by the smoothest mode.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -48,6 +49,13 @@ class ExperimentConfig:
     out_dir: str | None = None
     export_vtk: bool = False
     compare_direct: bool = False
+
+    def __post_init__(self):
+        # a run with a direct solve loads SuperLU's modules (~0.15 s) here,
+        # with its configuration, as importing ebsolve once did for every
+        # run; a run without one never loads them (~11 MB)
+        if _needs_reference(self):
+            importlib.import_module("scipy.sparse.linalg")
 
 
 @dataclass
@@ -139,11 +147,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     mesh = build_unit_square_mesh(cfg.level)
     batch = build_element_batch(mesh, nu=cfg.nu, threads=cfg.threads)
     dirichlet = constant_dirichlet(mesh, BOUNDARY_VALUE)
+    report = ExperimentReport(config=cfg, n_nodes=mesh.n_nodes, n_elements=mesh.n_elements,
+                              bounds=None)
+    # the batch holds the connectivity; only an export needs the coordinates
+    # again (16.8 MB at level 10)
+    if cfg.out_dir is None:
+        mesh = None
     solvers = _requested_solvers(cfg.solver)
 
     bounds = None
     if solvers:
         bounds = operator_bounds(batch, dirichlet)
+        report.bounds = (bounds.lambda1, bounds.lambda2)
 
     reference = None
     ref_time = 0.0
@@ -153,16 +168,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         reference = solve_reference(A, batch.b, dirichlet)
         ref_time = time.perf_counter() - t0
 
-    report = ExperimentReport(
-        config=cfg,
-        n_nodes=mesh.n_nodes,
-        n_elements=mesh.n_elements,
-        bounds=None if bounds is None else (bounds.lambda1, bounds.lambda2),
-    )
-
     # every solver copies x0 into its own iterate, so one read-only
     # broadcast serves them all without an n_nodes vector of its own
-    x0 = np.broadcast_to(BOUNDARY_VALUE, mesh.n_nodes)
+    x0 = np.broadcast_to(BOUNDARY_VALUE, report.n_nodes)
     common = dict(
         tol=cfg.tol,
         reference=reference if cfg.compare_direct else None,

@@ -4,29 +4,28 @@ Local quantities are indexed as 3-index arrays of shape (n_b, n_b, n_e)
 with n_b = 3, and ``build_element_batch`` computes all of them in one pass
 over blocks of ``GATHER_BLOCK`` elements, a few array operations per
 block.  Contiguous ranges of blocks run on the residual's thread pool;
-each block writes only its own slices, so the batch is bitwise the same
+each block writes only its own entries, so the batch is bitwise the same
 for any thread count.  That pass is the library's only geometry code: it
 computes each element's area once and rejects, by global index, any
-element that is clockwise, degenerate or of non-finite area.  The
-batch's A_e is stored C-contiguous as (3, n_e, 3) and exposed as its
-(3, 3, n_e) transposed view: for each local row i, the n_e triples
-A_e[i, :, e] lie one after another, which is the data array of that
-row's element CSR matrix (see ``IndexArrays``): the residual kernel
-streams A_e once, in order, in zero-copy slices of one element window
-each.
-``local_stiffness_batch`` and ``local_mass_batch`` are thin wrappers over
-that pass and return plain C-contiguous (3, 3, n_e) arrays.
+element that is clockwise, degenerate or of non-finite area.  The batch
+stores A_e by node row (``NodeRows``): the pass writes each block's
+entries straight into their slots of the node-row CSR matrices, the data
+the residual kernel streams once, in order.  A_e in element order is
+derived from them on access.  ``local_stiffness_batch`` and
+``local_mass_batch`` are thin wrappers over that pass and return plain
+C-contiguous (3, 3, n_e) arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
 from .mesh import Mesh
-from .operators import IndexArrays, _split, build_index_arrays, check_threads, scatter
+from .operators import (IndexArrays, NodeRows, _split, build_index_arrays, check_threads,
+                        node_rows, scatter)
 
 EPS_AREA = 1e-14
 
@@ -34,9 +33,7 @@ EPS_AREA = 1e-14
 # int32 index to intp before it gathers, and a block's corners, geometry
 # and (3, 3, B) einsum scratch (~1.2 MB) stay in cache.  Level 10, on a
 # shared 2-core host: the corner gathers, 1-D on ``x, y = nodes.T``,
-# ~20 ms, against ~100 ms for the mixed index ``nodes.T[:, corners]``; the
-# whole serial batch build ~0.25-0.35 s (index arrays included), against
-# ~0.5 s with the mixed index and ~0.9 s for full-width geometry.
+# ~20 ms, against ~100 ms for the mixed index ``nodes.T[:, corners]``.
 GATHER_BLOCK = 16384
 
 # exact P1 mass pattern: M_e = area/12 * (ones + eye)
@@ -47,49 +44,106 @@ _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 class ElementBatch:
     """Everything the matrix-free operator needs, batched over elements.
 
-    A_e = K_e + nu*M_e is the only resident element matrix, a (3, 3, n_e)
-    view whose transpose ``A_e.transpose(0, 2, 1)`` is C-contiguous (any
-    other A_e given is copied into that layout); b_e holds the
-    local load vectors (one column per element) prior to assembly and
-    ``areas`` the element areas.  ``b`` is the assembled load, computed
-    once here by ``operators.scatter(index, b_e)`` and read-only, bitwise
-    equal to ``assemble_rhs(b_e, index.indt, index.n_nodes)``: every
-    residual starts from it.  In a batch from ``build_element_batch``,
-    b_e is a read-only broadcast view of one per-element load vector and
-    ``index.indt`` a view of the mesh's connectivity.  The batch keeps no
-    mesh: ``local_stiffness_batch(m)`` and ``local_mass_batch(m)`` give
-    K_e and M_e for the mesh it was built from.  ``threads`` (1 to
-    ``MAX_THREADS``) is every residual's worker count; ``b`` is summed serially.
+    A_e = K_e + nu*M_e is the only resident element matrix, held by node
+    row as ``rows`` (see ``NodeRows``): ``rows.data[i, k]`` is A_e[i, :, e]
+    for the element e in slot k of local row i.  ``A_e`` derives the
+    (3, 3, n_e) element-order array from it on each access, a new
+    read-only array.  b_e holds the local load vectors (one column per
+    element) prior to assembly and ``areas`` the element areas.  ``b`` is
+    the assembled load, read-only and bitwise
+    ``assemble_rhs(b_e, index.indt, index.n_nodes)``: every residual starts
+    from it.  ``beta`` is max_e area_e*tr(A_e)/3, the coupling constant of
+    ``spectrum.operator_bounds`` at nu > 0.  In a batch from
+    ``build_element_batch``, b_e is a read-only broadcast view of one
+    per-element load vector and ``index.indt`` a view of the mesh's
+    connectivity.  The batch keeps no mesh: ``local_stiffness_batch(m)``
+    and ``local_mass_batch(m)`` give K_e and M_e for the mesh it was built
+    from.  ``threads`` (1 to ``MAX_THREADS``) is every residual's worker
+    count.  The fields are what the batch stores, so
+    ``dataclasses.replace(batch, threads=t)`` keeps every array; ``rows``,
+    ``b`` and ``beta`` do not follow a replaced load or geometry, which
+    ``from_matrices`` lays out anew.
     """
 
-    A_e: npt.NDArray[np.float64]
+    rows: NodeRows
     b_e: npt.NDArray[np.float64]
     areas: npt.NDArray[np.float64]
     nu: float
     index: IndexArrays
+    b: npt.NDArray[np.float64]
+    beta: float
     threads: int = 1
-    b: npt.NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_threads(self.threads)
-        n_e = self.index.indt.shape[1]
-        if self.A_e.shape != (3, 3, n_e):
-            raise ValueError(f"A_e must have shape (3, 3, {n_e}), got {self.A_e.shape}")
+        n_e, n_n = self.index.indt.shape[1], self.index.n_nodes
+        if self.rows.data.shape != (3, n_e, 3) or self.rows.indptr.shape != (3, n_n + 1):
+            raise ValueError(f"rows must hold {n_e} elements over {n_n} nodes")
         if self.b_e.shape != (3, n_e):
             raise ValueError(f"b_e must have shape (3, {n_e}), got {self.b_e.shape}")
         if self.areas.shape != (n_e,):
             raise ValueError(f"areas must have shape ({n_e},), got {self.areas.shape}")
+        if self.b.shape != (n_n,):
+            raise ValueError(f"b must have shape ({n_n},), got {self.b.shape}")
         if not (np.isfinite(self.nu) and self.nu >= 0):
             raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
-        store = np.ascontiguousarray(self.A_e.transpose(0, 2, 1), dtype=np.float64)
-        object.__setattr__(self, "A_e", store.transpose(0, 2, 1))
-        b = scatter(self.index, self.b_e)
-        b.setflags(write=False)
-        object.__setattr__(self, "b", b)
+        self.b.setflags(write=False)
+
+    @classmethod
+    def from_matrices(cls, A_e: np.ndarray, b_e: np.ndarray, areas: np.ndarray, nu: float,
+                      index: IndexArrays, threads: int = 1) -> ElementBatch:
+        """The batch of element-order matrices A_e, of shape (3, 3, n_e).
+
+        Lays A_e out by node row, assembles b with ``operators.scatter``
+        and takes beta from A_e's diagonal, as ``build_element_batch`` does.
+        """
+        n_e = index.indt.shape[1]
+        if A_e.shape != (3, 3, n_e):
+            raise ValueError(f"A_e must have shape (3, 3, {n_e}), got {A_e.shape}")
+        indptr, indices, slots = node_rows(index)
+        data = np.empty((3, n_e, 3))
+        _lay(data, [slice(None) if s is None else s for s in slots], A_e)
+        return cls(NodeRows(indptr, indices, data), b_e, areas, nu, index,
+                   scatter(index, b_e), _trace_max(A_e, areas) / 3.0, threads)
+
+    @property
+    def A_e(self) -> npt.NDArray[np.float64]:
+        """The (3, 3, n_e) element matrices in element order, a new read-only array.
+
+        Derived from ``rows`` on each access; it is the transposed view of
+        a C-contiguous (3, n_e, 3) array.
+        """
+        data = self.rows.data
+        out = np.empty_like(data)
+        for i, slots in enumerate(node_rows(self.index)[2]):
+            out[i] = data[i] if slots is None else data[i][slots]
+        out.setflags(write=False)
+        return out.transpose(0, 2, 1)
 
     @property
     def n_elements(self) -> int:
         return self.index.indt.shape[1]
+
+
+def _lay(data: np.ndarray, where: list, k: np.ndarray) -> None:
+    """Write element matrices k, (3, 3, B), into their slots ``where[i]`` of each row i.
+
+    ``where[i]`` is a slice where row i is in element order, else the
+    elements' slots.  Column by column: one write per entry (i, j).
+    """
+    for i, slots in enumerate(where):
+        if not isinstance(slots, slice):
+            slots = slots.astype(np.intp)  # numpy's index type, converted once
+        for j in range(3):
+            data[i, slots, j] = k[i, j]
+
+
+def _trace_max(k: np.ndarray, areas: np.ndarray) -> float:
+    """max_e area_e*tr(k[:, :, e]), 0 for no elements."""
+    tr = k[0, 0] + k[1, 1]
+    tr += k[2, 2]
+    tr *= areas
+    return float(tr.max(initial=0.0))
 
 
 def _geometry(x, y, lo: int):
@@ -133,18 +187,21 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None, threads: int = 1) -> E
     One pass over blocks of ``GATHER_BLOCK`` elements: each block's
     corners are gathered once, by 1-D gathers on the coordinate views
     ``m.nodes.T``, then give its areas and gradients, its
-    A_e = area * G^T G + nu * M_e, written into the storage layout, and its
-    load b_e[j] = f(centroid)*area/3 by one-point quadrature.  ``f`` is
-    evaluated pointwise, one block of centroids per call; a scalar f is
-    broadcast.  The index arrays are built first, while only the mesh is
-    resident, and no full-width temporary is formed.
+    A_e = area * G^T G + nu * M_e, written into its slots of ``NodeRows``,
+    its part of beta, and its load b_e[j] = f(centroid)*area/3 by one-point
+    quadrature.  ``f`` is evaluated pointwise, one block of centroids per
+    call; a scalar f is broadcast; without ``f`` the load is area/3 and no
+    centroid is formed.  The index arrays and the slots (``node_rows``)
+    are computed first, while only the mesh is resident, and no
+    full-width temporary is formed.
 
     Contiguous ranges of blocks run on ``threads`` workers of the
     long-lived pool the residual uses, the calling thread taking the first
-    range, and the batch keeps the count for its residuals; ``threads``
-    outside 1..``operators.MAX_THREADS`` raises ``ValueError`` before
-    anything is allocated.  Each block writes only its own
-    slices of the stored arrays, so the batch is bitwise independent of
+    range, and the batch keeps the count for its residuals; the counting
+    sorts of ``node_rows`` hold the GIL and run on the calling thread.
+    ``threads`` outside 1..``operators.MAX_THREADS`` raises ``ValueError``
+    before anything is allocated.  Each block writes only its own entries
+    of the stored arrays, so the batch is bitwise independent of
     ``threads``.  With more than one thread ``f`` is called concurrently
     from worker threads, so it must be pointwise and safe to call from
     several threads at once.  A block that holds a degenerate element or a
@@ -155,28 +212,33 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None, threads: int = 1) -> E
     if not (np.isfinite(nu) and nu >= 0):
         raise ValueError(f"nu must be finite and nonnegative, got {nu}")
     check_threads(threads)
-    if f is None:
-        f = lambda x, y: np.ones_like(x)
     index = build_index_arrays(m)
+    indptr, indices, slots = node_rows(index)
     n_e = m.n_elements
-    store = np.empty((3, n_e, 3))
+    size = GATHER_BLOCK
+    data = np.empty((3, n_e, 3))
     areas = np.empty(n_e)
     load = np.empty(n_e)
+    traces = np.zeros(-(-n_e // size))
     xs, ys = m.nodes.T
-    size = GATHER_BLOCK
 
     def run(k0, k1):
-        for lo in range(k0 * size, k1 * size, size):
+        for k in range(k0, k1):
+            lo = k * size
             blk = slice(lo, lo + size)
             corners = m.elements[blk].T.astype(np.intp)
             x, y = xs[corners], ys[corners]  # x[j, e]: x of the block's element e's node j
             a, grads = _geometry(x, y, lo)
-            k = np.einsum("kie,kje->ije", grads, grads)
-            k *= a
+            A = np.einsum("kie,kje->ije", grads, grads)
+            A *= a
             if nu > 0:
-                k += nu * _mass(a)
-            store[:, blk].transpose(0, 2, 1)[...] = k
+                A += nu * _mass(a)
+            _lay(data, [blk if w is None else w[blk] for w in slots], A)
+            traces[k] = _trace_max(A, a)
             areas[blk] = a
+            if f is None:
+                load[blk] = a / 3.0  # bitwise 1.0 * a / 3.0
+                continue
             # centroids summed corner by corner and divided by 3: the arithmetic
             # of nodes[elements].mean(axis=1)
             vals = f((x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0)
@@ -188,16 +250,13 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None, threads: int = 1) -> E
             load[blk] = vals * a / 3.0
 
     # each range's temporaries (~3 MB a block) are freed when it returns,
-    # before ElementBatch assembles the load beside the finished arrays
-    _split(run, -(-n_e // size), threads)
-    return ElementBatch(
-        A_e=store.transpose(0, 2, 1),
-        b_e=np.broadcast_to(load, (3, n_e)),
-        areas=areas,
-        nu=float(nu),
-        index=index,
-        threads=threads,
-    )
+    # and the slots (16.8 MB at level 10) here, before the load is
+    # assembled beside the finished arrays
+    _split(run, len(traces), threads)
+    slots = None
+    b_e = np.broadcast_to(load, (3, n_e))
+    return ElementBatch(NodeRows(indptr, indices, data), b_e, areas, float(nu), index,
+                        scatter(index, b_e), float(traces.max(initial=0.0)) / 3.0, threads)
 
 
 def local_stiffness_batch(m: Mesh) -> npt.NDArray[np.float64]:

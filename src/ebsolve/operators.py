@@ -2,27 +2,26 @@
 Dirichlet handling.
 
 The global system matrix is never formed here.  A residual is computed
-element by element,
+from the element matrices alone,
 
     r = b - sum_e scatter( A_e * x[indt] ),
 
-in scipy's compiled CSR matrix-vector loop, node block by node block, from
-the load b the batch assembles once.  For each local row i the element
-operator is a CSR matrix with one row per element (data ``A_e[i, :, e]``,
-columns element e's nodes, see ``IndexArrays``); its product with x is the
-gather and the local 3x3 product in one pass.  For each block of
-``SCATTER_BLOCK`` node rows, ``residual`` computes the element products of
-the block's element window into a per-thread buffer of 3*W doubles
-(~1.6 MB at level 10), then subtracts them from the block's rows of b,
-node by node, with the index array's ``blocks`` (MATLAB's ``accumarray``;
-they hold connectivity only, so the system matrix is still never formed).
-No (3, n_e) array of element values is ever stored, and every pass runs on
-zero-copy slices of the stored arrays.  ``residual`` is the only
-implementation of this operator, and the blocked pass in
-``_scatter_blocks``, the blocks' only reader, the only node-row scatter:
-``scatter`` (and through it ``mass_bounds`` and the batch's b) fills the
-windows from its own (3, n_e) input, negated, so that subtracting them
-from 0 sums them.  Global vectors are 1-D float64 of length n_n.
+in scipy's compiled CSR matrix-vector loop, from the load b the batch
+assembles once.  A_e is read by node row, the row-gathered layout of
+Cecka, Lew & Darve (2011): each local row i of A_e is its own CSR matrix
+over the nodes, whose row n holds one slot per element e with
+``indt[i, e] == n``, in ascending e, and each slot the three entries
+``A_e[i, :, e]`` at element e's nodes (``node_rows``, ``NodeRows``; the
+batch stores the entries in that slot order, and a row already in element
+order takes the connectivity itself as its columns).  The three matrices
+sum to the system matrix, so three ``csr_matvec`` passes into one vector
+and one subtraction from b give the residual: the gather, the local 3x3
+product and the scatter in one pass, with no (3, n_e) array of element
+values.  Node n sums its element products in ascending position in
+``indt.ravel()``.  ``residual`` is the only implementation of this
+operator; ``scatter``, which sums (3, n_e) local values at set-up, is
+``np.add.at`` in the same order.  Global vectors are 1-D float64 of length
+n_n.
 
 A ``residual`` call without ``out`` allocates its result.  A solve
 allocates one vector and passes it as ``out`` to every step, which then
@@ -36,9 +35,9 @@ moves off its prescribed boundary values.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.typing as npt
@@ -55,78 +54,9 @@ if TYPE_CHECKING:
 # thousands of them.
 MAX_THREADS = 64
 
-# Nodes per block of the node-blocked scatter (``IndexArrays``), whatever
-# the thread count.  A block of grid rows touches about two elements per
-# node, so its window of element products, 3 x ~65536 doubles (1.6 MB) per
-# thread, is still in cache when the scatter subtracts it from b; the
-# (3, n_e) array it replaces is 50 MB at level 10.  Level 10 has 33 blocks,
-# each element computed x1.031 times on average; level 8 has 3 (x1.008),
-# and meshes up to level 7 are one block.
-SCATTER_BLOCK = 32768
-
-# Blocks whose windows together cover more than this many times n_e
-# elements are replaced by one block: with the elements shuffled, the
-# windows sum to x3.0 the element work at level 8 (3 blocks) and x33 at
-# level 10 (33 blocks), each window nearly every element.
-WINDOW_SLACK = 1.1
-
-
-class ScatterBlock(NamedTuple):
-    """Node rows [a, b) of ``IndexArrays.blocks`` and their element window [elo, ehi)."""
-
-    a: int
-    b: int
-    elo: int
-    ehi: int
-    indptr: npt.NDArray[np.int32]
-    indices: npt.NDArray[np.int32]
-
-
-def _blocks(indt: np.ndarray, n_nodes: int):
-    """The blocks, shared minus ones and window row pointer of ``IndexArrays``."""
-    n_e = indt.shape[1]
-    flat = indt.ravel()
-    # COO -> CSR is a counting sort, so each node row keeps its positions in
-    # ascending order; its 0/1 values are int8 scratch, then dropped
-    ptr = np.empty(n_nodes + 1, dtype=np.int32)
-    indices = np.empty(flat.size, dtype=np.int32)
-    coo_tocsr(n_nodes, flat.size, flat.size, flat, np.arange(flat.size, dtype=np.int32),
-              np.ones(flat.size, dtype=np.int8), ptr, indices,
-              np.empty(flat.size, dtype=np.int8))
-
-    rows = list(range(0, n_nodes, SCATTER_BLOCK)) + [n_nodes]
-    windows = []
-    for a, b in zip(rows, rows[1:]):
-        positions = indices[ptr[a]:ptr[b]]
-        if positions.size == 0:
-            windows.append((0, 0))
-            continue
-        e = positions // n_e
-        e *= n_e
-        np.subtract(positions, e, out=e)  # the element of each position
-        windows.append((int(e.min()), int(e.max()) + 1))
-    if sum(hi - lo for lo, hi in windows) > WINDOW_SLACK * n_e:
-        rows, windows = [0, n_nodes], [(0, n_e)]
-
-    block_ptr = np.empty(n_nodes + len(windows), dtype=np.int32)
-    spans = []
-    for k, (a, b, (elo, ehi)) in enumerate(zip(rows, rows[1:], windows)):
-        lo, hi = int(ptr[a]), int(ptr[b])
-        positions = indices[lo:hi]
-        shift = positions // n_e
-        shift *= n_e - (ehi - elo)
-        shift += elo
-        positions -= shift  # i*n_e + e  ->  i*W + e - elo
-        np.subtract(ptr[a:b + 1], lo, out=block_ptr[a + k:b + k + 1])
-        spans.append((a, b, elo, ehi, lo, hi))
-    minus_ones = np.full(max((hi - lo for *_, lo, hi in spans), default=0), -1.0)
-    window = max((hi - lo for lo, hi in windows), default=0)
-    window_ptr = np.arange(0, 3 * window + 1, 3, dtype=np.int32)
-    for arr in (block_ptr, indices, minus_ones, window_ptr):
-        arr.setflags(write=False)
-    blocks = tuple(ScatterBlock(a, b, elo, ehi, block_ptr[a + k:b + k + 1], indices[lo:hi])
-                   for k, (a, b, elo, ehi, lo, hi) in enumerate(spans))
-    return blocks, minus_ones, window_ptr
+# Elements per ``np.add.at`` call of ``scatter``: each chunk's int32 nodes
+# are copied to intp, 256 kB, not 16.8 MB for a full row at level 10.
+SCATTER_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -137,38 +67,12 @@ class IndexArrays:
     element e's nodes, each below ``n_nodes``.  It is int32 and the
     transpose of a C-contiguous (n_e, 3) array, normally ``Mesh.elements``
     itself, so ``indt.T.ravel()``, element e's nodes at 3e..3e+2, is a
-    view of it too.
-
-    The rest is the node-row scatter, MATLAB's ``accumarray``, precomputed
-    from ``indt`` alone and split into ``blocks`` of ``SCATTER_BLOCK``
-    nodes.  Node n's entries are its positions p = i*n_e + e in
-    ``indt.ravel()``, in ascending order.  The rows [a, b) of a block
-    reference only the elements of its window [elo, ehi), W = ehi - elo, so
-    its ``indices`` hold each position rebased to the window, i*W + e - elo:
-    an index into the (3, W) local values of the window's elements.  Each
-    block's ``indptr`` is rebased to 0 too, so one shared array of
-    ``minus_ones``, as long as the largest block's entry count, is the CSR
-    data of every block: the scatter subtracts each window value from its
-    node's row, so the residual needs no subtract pass of its own, and
-    ``scatter``, which runs at set-up only, negates its window copy
-    instead.  When the windows together cover more than
-    ``WINDOW_SLACK * n_e`` elements (elements in poor order), there is one
-    block over all nodes, whose window is every element.
-
-    ``window_ptr`` (0, 3, ..., 3W for the largest window W) is the row
-    pointer of the element operator over any window: for each local row i,
-    a CSR matrix with one row per element, row e holding element e's three
-    entries ``A_e[i, :, e]`` at the columns ``indt.T.ravel()[3e:3e+3]``.
-    It holds element rows, not assembled ones, and its length W + 1 sizes
-    the per-thread window buffers.  Nothing here holds element values;
-    ``residual`` and ``_scatter_blocks`` read these arrays.
+    view of it too.  ``node_rows`` derives the node-row layout of A_e from
+    it.
     """
 
     indt: npt.NDArray[np.int32]
     n_nodes: int
-    blocks: tuple[ScatterBlock, ...] = field(init=False, repr=False, compare=False)
-    minus_ones: npt.NDArray[np.float64] = field(init=False, repr=False, compare=False)
-    window_ptr: npt.NDArray[np.int32] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indt = as_index_array(self.indt, "indt")
@@ -183,9 +87,59 @@ class IndexArrays:
         indt = np.ascontiguousarray(indt.T, dtype=np.int32).T
         indt.setflags(write=False)
         object.__setattr__(self, "indt", indt)
-        names = ("blocks", "minus_ones", "window_ptr")
-        for name, value in zip(names, _blocks(indt, self.n_nodes)):
-            object.__setattr__(self, name, value)
+
+
+def node_rows(index: IndexArrays):
+    """The CSR structure of A_e by node row, and each element's slots.
+
+    Local row i's slots are its elements stably sorted by node
+    ``indt[i, e]``, by one counting sort (scipy's COO -> CSR conversion).
+    Returns (indptr, indices, slots), for each row i: ``indptr[i]`` (int32)
+    the entry offsets, three per slot, so node n's entries are
+    indptr[i, n]..indptr[i, n+1]; ``indices[i]`` (int32, 3*n_e) at
+    3k..3k+2 the nodes of slot k's element; ``slots[i][e]`` (int32)
+    element e's slot.  A row that never decreases is in element order: its
+    slots are None and its ``indices`` are ``indt.T.ravel()``, the
+    connectivity itself (row 0 of the grid).
+    """
+    indt, n_n = index.indt, index.n_nodes
+    n_e = indt.shape[1]
+    indptr = np.empty((3, n_n + 1), dtype=np.int32)
+    indices, slots = [indt.T.reshape(-1)] * 3, [None] * 3
+    # scratch reused by every row: fresh pages cost as much as the sorts
+    elements = np.arange(n_e, dtype=np.int32)
+    nodes, perm = np.empty((2, n_e), dtype=np.int32)
+    order = np.empty(n_e, dtype=np.intp)  # perm as numpy's gather and scatter take it
+    values = np.empty((2, n_e), dtype=np.int8)  # coo_tocsr's values, unused
+    for i, row in enumerate(indt):
+        np.copyto(nodes, row)
+        coo_tocsr(n_n, n_e, n_e, nodes, elements, values[0], indptr[i], perm, values[1])
+        if np.array_equal(perm, elements):
+            continue
+        np.copyto(order, perm)
+        indices[i] = np.take(indt.T, order, axis=0).reshape(-1)
+        slots[i] = np.empty_like(perm)
+        slots[i][order] = elements
+    indptr *= 3
+    return indptr, tuple(indices), slots
+
+
+@dataclass(frozen=True)
+class NodeRows:
+    """A_e by node row: for each local row i, one CSR matrix over the nodes.
+
+    The layout of ``node_rows``, the row-gathered storage of Cecka, Lew &
+    Darve (2011): slot k of row i, element e, holds the three entries
+    ``data[i, k] = A_e[i, :, e]`` at the columns ``indices[i][3k:3k+3]``,
+    e's nodes, and node n's entries are ``indptr[i, n]`` to
+    ``indptr[i, n + 1]``.  The three matrices sum to the system matrix.
+    ``data`` is C-contiguous (3, n_e, 3) float64 and the index arrays int32,
+    the arrays ``csr_matvec`` reads as they are.
+    """
+
+    indptr: npt.NDArray[np.int32]
+    indices: tuple[npt.NDArray[np.int32], ...]
+    data: npt.NDArray[np.float64]
 
 
 def build_index_arrays(m: Mesh) -> IndexArrays:
@@ -311,71 +265,41 @@ def _split(fn, n: int, threads: int) -> None:
         f.result()
 
 
-def _scatter_blocks(index: IndexArrays, fill, threads: int, start: np.ndarray,
-                    r: np.ndarray) -> npt.NDArray[np.float64]:
-    """The node-row scatter: r[a:b] = start[a:b] minus the block's node rows.
-
-    ``fill(window, elo, ehi)`` writes the (3, W) local values of elements
-    [elo, ehi) into ``window``, a slice of one buffer per thread.  Then the
-    block's rows of ``start`` are copied into r, and
-    ``csr_matvec(n_row, n_col, indptr, indices, data, x, y)``, the loop
-    behind ``csr_matrix @ x``, which adds row k's products to ``y[k]`` left
-    to right and releases the GIL, subtracts each node's window values from
-    them with the block's rebased pointer and window positions and the
-    shared minus ones: r[n] = ((start[n] - v1) - v2) - ..., node n's values in
-    ``indt.ravel()`` order, since -1*v is exact and adding -v is
-    subtracting v.  Contiguous ranges of blocks run on ``threads`` workers
-    of one long-lived pool, 1 for ``scatter``.  Every row's arithmetic is
-    self-contained and in fixed order, so the result is bitwise independent
-    of ``threads`` and of the block size; unreferenced nodes get ``start``.
-    """
-    def run(k0, k1):
-        buf = np.empty(3 * (index.window_ptr.size - 1))  # the largest window
-        for a, b, elo, ehi, indptr, indices in index.blocks[k0:k1]:
-            window = buf[:3 * (ehi - elo)]
-            fill(window.reshape(3, ehi - elo), elo, ehi)
-            rows = r[a:b]
-            np.copyto(rows, start[a:b])
-            csr_matvec(b - a, window.size, indptr, indices, index.minus_ones, window, rows)
-
-    _split(run, len(index.blocks), threads)
-    return r
-
-
 def scatter(index: IndexArrays, local: np.ndarray) -> npt.NDArray[np.float64]:
     """Sum the (3, n_e) local contributions into a new vector of length n_nodes.
 
-    Each block's window is ``-local[:, elo:ehi]``, which the scatter
-    subtracts from 0: -(-v) is exact, so node n's row is 0 + v1 + v2 + ...
-    ``local`` may be any (3, n_e) array, a broadcast view included: only a
-    single block reads it whole.  The result is bitwise equal to
-    ``np.bincount(indt.ravel(), local.ravel(), minlength=n_nodes)``.
+    ``np.add.at`` row by row of ``indt``, ``SCATTER_CHUNK`` elements at a
+    time, adds the values one by one in ``indt.ravel()`` order, so the
+    result is bitwise ``np.bincount(indt.ravel(), local.ravel(),
+    minlength=n_nodes)``.  ``local`` may be any (3, n_e) array, a broadcast
+    view included: no (3, n_e) copy of it is made.
     """
-    if local.shape != index.indt.shape:
-        raise ValueError(f"shape mismatch: local {local.shape} vs indt {index.indt.shape}")
-
-    def negated_window(window, elo, ehi):
-        np.negative(local[:, elo:ehi], out=window)
-
-    n_n = index.n_nodes
-    return _scatter_blocks(index, negated_window, 1, np.broadcast_to(0.0, n_n), np.empty(n_n))
+    indt = index.indt
+    if local.shape != indt.shape:
+        raise ValueError(f"shape mismatch: local {local.shape} vs indt {indt.shape}")
+    out = np.zeros(index.n_nodes)
+    for i in range(3):
+        for lo in range(0, indt.shape[1], SCATTER_CHUNK):
+            hi = lo + SCATTER_CHUNK
+            np.add.at(out, indt[i, lo:hi].astype(np.intp), local[i, lo:hi])
+    return out
 
 
 def residual(batch: ElementBatch, x: np.ndarray,
              out: np.ndarray | None = None) -> npt.NDArray[np.float64]:
     """r = b - A x without forming A, into ``out`` when it is given.
 
-    Node block by node block (see ``_scatter_blocks``): zero the window,
-    then for each local row i add the element operator's products with
-    ``csr_matvec`` on the window's zero-copy slices of the columns and of
-    ``A_e``, with the shared ``window_ptr``; then subtract them from the
-    block's rows of the batch's assembled load ``b``.  Node n's entry is
-    ((b[n] - s1) - s2) - ... over its element products s_k = A_e[i, :, e] .
-    x[indt[:, e]] (each summed left to right) in ``indt.ravel()`` order.
-    The blocks run on ``batch.threads`` workers.  Every element's and every
-    node's arithmetic is self-contained and in fixed order, so the result
-    is bitwise independent of the thread count and of the block size.  An
-    element whose nodes lie in two blocks is computed once for each.
+    On each of ``batch.threads`` contiguous ranges [a, c) of node rows:
+    zero out[a:c], add the products of the three node-row CSR matrices of
+    A_e (``batch.rows``, see ``NodeRows``) with
+    ``csr_matvec(n_row, n_col, indptr, indices, data, x, y)``, the loop
+    behind ``csr_matrix @ x``, which adds row k's products to ``y[k]`` left
+    to right and releases the GIL; then out[a:c] = b[a:c] - out[a:c] with
+    the batch's assembled load ``b``.  Node n's entry is b[n] minus
+    (((0 + a1*x1) + a2*x2) + ...) over the entries of its slots, in
+    ascending position in ``indt.ravel()``.  Every row's arithmetic is
+    self-contained and in fixed order, so the result is bitwise independent
+    of the thread count.
 
     An ``x`` with a NaN or an infinite entry raises ``NonFiniteError``, a
     ``ValueError``.  Without ``out`` the result is a new vector; with it,
@@ -384,8 +308,7 @@ def residual(batch: ElementBatch, x: np.ndarray,
     the same bit for bit.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    index = batch.index
-    n_n = index.n_nodes
+    n_n = batch.index.n_nodes
     if x.shape != (n_n,):
         raise ValueError(f"x must be a flat global vector of length {n_n}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -396,20 +319,22 @@ def residual(batch: ElementBatch, x: np.ndarray,
               and out.shape == (n_n,) and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError("out must be a writeable C-contiguous float64 vector "
                          f"of length {n_n}")
-    # the result is written block by block while x is still read
+    # the result is written range by range while x is still read
     if np.may_share_memory(x, out):
         raise ValueError("x overlaps out")
-    data = batch.A_e.transpose(0, 2, 1).reshape(3, -1)  # a view
-    cols = index.indt.T.reshape(-1)  # a view, see IndexArrays
-    ptr = index.window_ptr
+    indptr, indices = batch.rows.indptr, batch.rows.indices
+    data = batch.rows.data.reshape(3, -1)  # a view
+    b = batch.b
 
-    def element_products(window, elo, ehi):
-        w, lo, hi = ehi - elo, 3 * elo, 3 * ehi
-        window.fill(0.0)
+    def run(a, c):
+        rows = out[a:c]
+        rows.fill(0.0)
         for i in range(3):
-            csr_matvec(w, n_n, ptr[:w + 1], cols[lo:hi], data[i, lo:hi], x, window[i])
+            csr_matvec(c - a, n_n, indptr[i, a:c + 1], indices[i], data[i], x, rows)
+        np.subtract(b[a:c], rows, out=rows)
 
-    return _scatter_blocks(index, element_products, batch.threads, batch.b, out)
+    _split(run, n_n, batch.threads)
+    return out
 
 
 def mask_dirichlet(r: np.ndarray, d: DirichletData) -> npt.NDArray[np.float64]:

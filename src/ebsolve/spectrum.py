@@ -19,7 +19,8 @@ nu*beta <= 1, where s_i is the area of the elements at node i.  At level
 minimum, where Weyl's lambda1 + nu*m_lo, which pairs the smoothest
 stiffness mode with the roughest mass mode, is 2.7x low; Weyl's remains
 the fallback where nu*beta >= 1 and wherever it is larger.  The interval is
-guaranteed to enclose the spectrum and costs two passes over the elements.
+guaranteed to enclose the spectrum and costs one pass over the elements,
+beside the beta the batch build takes.
 All cases take lambda1 and lambda2 of K from the closed form above, so they
 assume the structured grid; n is read from the batch's node count.
 """
@@ -71,9 +72,7 @@ def mass_bounds(batch: ElementBatch, d: DirichletData) -> tuple[float, float]:
     inequalities.  The free-node spectrum therefore lies in
     [min s_i / 12, max s_i / 3] over free nodes i (Wathen 1987).  The sums
     s_i add up ``batch.areas``, the areas M_e is built from, with
-    ``operators.scatter``: each block's window is filled from a broadcast
-    view of the areas, so an index of several blocks makes no (3, n_e) copy
-    of them.
+    ``operators.scatter`` on a broadcast view of them, no (3, n_e) copy.
     """
     index = batch.index
     node_area = scatter(index, np.broadcast_to(batch.areas, index.indt.shape))
@@ -95,14 +94,12 @@ def _lower_end(batch: ElementBatch, lambda_k: float, m_lo: float) -> float:
     ``m_lo`` the lower mass bound of ``mass_bounds``; the result is the
     larger of Weyl's lambda_k + nu*m_lo and, where nu*beta < 1, the coupled
     (1 - nu*beta)*lambda_k + nu*4*m_lo, both rounded down by ``_ROUND_OFF``
-    (see ``operator_bounds``).  beta = max_e area_e*tr(A_e)/3, one pass over
-    the diagonal of the batch's A_e.
+    (see ``operator_bounds``).  beta = max_e area_e*tr(A_e)/3 is the batch's
+    ``beta``, taken by its build from each element's A_e.
     """
     nu = batch.nu
     lam = lambda_k + nu * m_lo
-    tr = np.einsum("iie->e", batch.A_e)
-    tr *= batch.areas
-    c = nu * (float(tr.max(initial=0.0)) / 3.0 * (1.0 + _ROUND_OFF))
+    c = nu * (batch.beta * (1.0 + _ROUND_OFF))
     if c < 1.0:
         lam = max(lam, (1.0 - c) * lambda_k + nu * 4.0 * m_lo)
     return lam * (1.0 - _ROUND_OFF)
@@ -129,7 +126,8 @@ def operator_bounds(batch: ElementBatch, d: DirichletData) -> SpectralBounds:
           lambda_min(K + nu*M) >= (1 - nu*beta)*lambda1_K + nu*min s_i/3
 
       over free nodes i, where min s_i/3 = 4*m_lo.  tr K_e <= tr A_e for
-      nu > 0, so beta = max_e area*tr(A_e)/3 needs no other element data.
+      nu > 0, so beta = max_e area*tr(A_e)/3 (``ElementBatch.beta``)
+      needs no other element data.
 
     The lower end is the larger of that and Weyl's lambda1_K + nu*m_lo, or
     Weyl's alone when nu*beta >= 1.

@@ -1,8 +1,5 @@
 """Shared builders for the test suite."""
 
-from contextlib import contextmanager
-from unittest import mock
-
 import numpy as np
 
 from ebsolve import (
@@ -14,7 +11,6 @@ from ebsolve import (
     build_unit_square_mesh,
     constant_dirichlet,
 )
-from ebsolve import operators
 
 
 def make_problem(level, nu=0.0):
@@ -26,18 +22,6 @@ def make_problem(level, nu=0.0):
     return m, batch, d, b
 
 
-@contextmanager
-def scatter_blocks(size, slack=np.inf):
-    """Index arrays built inside have ``size``-node scatter blocks.
-
-    By default the windows may overlap without bound, so that small meshes
-    get many blocks, not the one-block fallback.
-    """
-    with mock.patch.object(operators, "SCATTER_BLOCK", size), \
-            mock.patch.object(operators, "WINDOW_SLACK", slack):
-        yield
-
-
 def diagonal_batch(diag, load):
     """Synthetic 3-node, 1-element batch whose assembled matrix is diag(diag).
 
@@ -46,7 +30,7 @@ def diagonal_batch(diag, load):
     """
     A = np.diag(np.asarray(diag, dtype=np.float64)).reshape(3, 3, 1)
     indt = np.array([[0], [1], [2]], dtype=np.int64)
-    return ElementBatch(
+    return ElementBatch.from_matrices(
         A_e=A,
         b_e=np.asarray(load, dtype=np.float64).reshape(3, 1),
         areas=np.array([0.5]),

@@ -224,10 +224,11 @@ def test_same_config_same_bytes(tmp_path):
 
 def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
     import ebsolve.cli as cli
-    from ebsolve import elements
+    from ebsolve import elements, operators
 
-    # blocks of 50 elements, so the level-4 batch (512 elements) is split
-    # across the threads too, not only the residual
+    # blocks of 50 elements, so that the level-4 batch (512 elements) is
+    # split across the threads too; every residual splits its 289 node rows
+    # into one range per thread
     monkeypatch.setattr(elements, "GATHER_BLOCK", 50)
     batch_threads = []
     build = cli.build_element_batch
@@ -236,11 +237,28 @@ def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
         batch_threads.append(kwargs.get("threads"))
         return build(*args, **kwargs)
 
+    residual_ranges = {}
+    split = operators._split
+
+    def recording_split(fn, n, threads):
+        if not fn.__qualname__.startswith("residual."):
+            return split(fn, n, threads)
+        ranges = []
+
+        def run(lo, hi):
+            ranges.append((lo, hi))
+            fn(lo, hi)
+
+        split(run, n, threads)
+        residual_ranges.setdefault(threads, set()).add(len(ranges))
+
     monkeypatch.setattr(cli, "build_element_batch", recording_build)
+    monkeypatch.setattr(operators, "_split", recording_split)
     outs = {t: tmp_path / f"t{t}" for t in (1, 2, 3, 4)}
     for t, out in outs.items():
         main(["--level", "4", "--iters", "30", "--out-dir", str(out), "--threads", str(t)])
     assert batch_threads == list(outs)
+    assert residual_ranges == {t: {t} for t in outs}
     names = sorted(p.name for p in outs[1].iterdir())
     for out in outs.values():
         assert names == sorted(p.name for p in out.iterdir())
@@ -425,3 +443,32 @@ def test_every_solver_starts_from_a_read_only_broadcast_of_the_boundary_value(mo
         assert run.history.error_norms.tobytes() == ref.error_norms.tobytes()
         assert run.x.flags.writeable
         assert not np.shares_memory(run.x, x0)
+
+
+@pytest.mark.parametrize("export", [False, True])
+def test_mesh_is_kept_only_for_an_export(monkeypatch, tmp_path, export):
+    # the batch holds the connectivity; without an export the mesh, and with
+    # it the coordinates (16.8 MB at level 10), is freed before the solve
+    import gc
+    import weakref
+
+    import ebsolve.cli as cli
+
+    meshes, alive = [], []
+    build, solve = cli.build_unit_square_mesh, cli.chebyshev3
+
+    def recording_build(level):
+        mesh = build(level)
+        meshes.append(weakref.ref(mesh))
+        return mesh
+
+    def checking_solve(*args, **kwargs):
+        gc.collect()
+        alive.append(meshes[0]() is not None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_unit_square_mesh", recording_build)
+    monkeypatch.setattr(cli, "chebyshev3", checking_solve)
+    run_experiment(ExperimentConfig(level=3, iters=4, solver="cheb3",
+                                    out_dir=str(tmp_path) if export else None))
+    assert alive == [export]

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import perturbed_mesh, shuffled, stacked_signed_areas
 
 from ebsolve import elements
-from ebsolve.operators import MAX_THREADS
+from ebsolve.operators import MAX_THREADS, NodeRows, node_rows
 from ebsolve import (
     ElementBatch,
     Mesh,
@@ -149,37 +150,60 @@ def test_batch_validation():
     idx = build_index_arrays(m)
     b = build_element_batch(m).b_e
     with pytest.raises(ValueError):
-        ElementBatch(A_e=K, b_e=b[:, :3], areas=areas, nu=0.0, index=idx)
+        ElementBatch.from_matrices(A_e=K, b_e=b[:, :3], areas=areas, nu=0.0, index=idx)
     for nu in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="nu"):
-            ElementBatch(A_e=K, b_e=b, areas=areas, nu=nu, index=idx)
+            ElementBatch.from_matrices(A_e=K, b_e=b, areas=areas, nu=nu, index=idx)
         with pytest.raises(ValueError, match="nu"):
             build_element_batch(m, nu=nu)
     with pytest.raises(ValueError):
-        ElementBatch(A_e=K[:, :, :3], b_e=b, areas=areas, nu=0.0, index=idx)
+        ElementBatch.from_matrices(A_e=K[:, :, :3], b_e=b, areas=areas, nu=0.0, index=idx)
     with pytest.raises(ValueError):
-        ElementBatch(A_e=K, b_e=b, areas=areas[:3], nu=0.0, index=idx)
+        ElementBatch.from_matrices(A_e=K, b_e=b, areas=areas[:3], nu=0.0, index=idx)
+    # the stored fields are checked too: the node rows' sizes and b's length
+    batch = ElementBatch.from_matrices(A_e=K, b_e=b, areas=areas, nu=0.0, index=idx)
+    rows = batch.rows
+    with pytest.raises(ValueError, match="rows must hold"):
+        dataclasses.replace(batch, rows=NodeRows(rows.indptr, tuple(c[:9] for c in rows.indices),
+                                                 rows.data[:, :3].copy()))
+    with pytest.raises(ValueError, match="b must have shape"):
+        dataclasses.replace(batch, b=batch.b[:3])
 
 
 @pytest.mark.parametrize("nu", [0.0, 2.5])
 def test_batch_layout_keeps_only_A_e(nu):
-    m = build_unit_square_mesh(3)
+    m = shuffled(build_unit_square_mesh(3), 3, 5)
     batch = build_element_batch(m, nu=nu)
     K, M = local_stiffness_batch(m), local_mass_batch(m)
     assert batch.A_e.shape == (3, 3, m.n_elements)
-    # stored as the C-contiguous (3, n_e, 3) array the residual streams
-    store = batch.A_e.transpose(0, 2, 1)
-    assert store.flags.c_contiguous
     # bitwise, down to the sign of zero
     assert batch.A_e.tobytes() == (K + nu * M).tobytes()
-    # K_e and M_e are not held beside A_e, and no mesh is kept to rebuild them
+    # A_e is derived on access: a new read-only array each time
+    assert batch.A_e is not batch.A_e
+    assert not batch.A_e.flags.writeable
+    # stored by node row: data[i, k] is A_e[i, :, e] of the element e in
+    # slot k of local row i, whose columns are e's nodes
+    rows = batch.rows
+    assert rows.data.shape == (3, m.n_elements, 3) and rows.data.flags.c_contiguous
+    for i, slots in enumerate(node_rows(batch.index)[2]):
+        order = np.arange(m.n_elements) if slots is None else np.argsort(slots)
+        assert rows.data[i].tobytes() == np.ascontiguousarray((K + nu * M)[i].T[order]).tobytes()
+        npt.assert_array_equal(rows.indices[i].reshape(-1, 3), m.elements[order])
+    # beta: the largest area * tr(A_e) / 3
+    tr = np.einsum("iie->e", batch.A_e) * batch.areas
+    assert batch.beta == tr.max() / 3.0
+    # laid out again from the element-order matrices: the same batch, bitwise
+    again = ElementBatch.from_matrices(batch.A_e, batch.b_e, batch.areas, nu, batch.index)
+    assert again.rows.data.tobytes() == rows.data.tobytes()
+    assert again.rows.indptr.tobytes() == rows.indptr.tobytes()
+    assert [c.tobytes() for c in again.rows.indices] == [c.tobytes() for c in rows.indices]
+    assert again.b.tobytes() == batch.b.tobytes() and again.beta == batch.beta
+    # K_e and M_e are not held beside the store, and no mesh is kept to rebuild them
     stored = [name for name, value in vars(batch).items()
-              if isinstance(value, np.ndarray) and value.shape == (3, 3, m.n_elements)]
-    assert stored == ["A_e"]
-    owner = batch.A_e
-    while isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    assert np.shares_memory(owner, store) and owner.nbytes == store.nbytes
+              if isinstance(value, np.ndarray) and value.size >= m.n_elements]
+    assert stored == ["b_e", "areas"]
+    assert [name for name, value in vars(rows).items()
+            if isinstance(value, np.ndarray) and value.size == 9 * m.n_elements] == ["data"]
     assert not any(isinstance(value, Mesh) for value in vars(batch).values())
 
 
@@ -316,6 +340,8 @@ def test_batch_is_bitwise_independent_of_threads(nu, swaps):
         assert batch.threads == t  # the count its residuals run on
         for name in ("A_e", "b_e", "areas", "b"):
             assert getattr(batch, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert batch.beta == ref.beta
+        assert batch.rows.data.tobytes() == ref.rows.data.tobytes()
 
 
 def test_concurrent_batch_builds_share_the_pool():
@@ -381,5 +407,5 @@ def test_batch_build_forms_no_full_width_temporaries():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained >= batch.A_e.nbytes
+    assert retained >= batch.rows.data.nbytes
     assert peak <= 1.15 * retained

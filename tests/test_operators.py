@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec
 import scipy.sparse as sp
 
-from conftest import make_problem, perturbed_mesh, scatter_blocks, shuffled, uniform_refine
-from ebsolve.operators import MAX_THREADS, SCATTER_BLOCK, WINDOW_SLACK, ScatterBlock
+from conftest import make_problem, perturbed_mesh, shuffled, uniform_refine
+from ebsolve.operators import MAX_THREADS, SCATTER_CHUNK
 
 from ebsolve import (
     DirichletData,
@@ -48,38 +49,39 @@ def test_assemble_rhs_shape_guard():
 
 
 def test_scatter_reproduces_assemble_rhs():
-    # node 0 of the second mesh is unreferenced: its row of the scatter is empty
+    # node 0 of the third mesh is unreferenced: nothing is added to it
     holed = with_unreferenced_node(build_unit_square_mesh(3), first=True)
     rng = np.random.default_rng(2)
-    for m, size in ((perturbed_mesh(3, 0.1, 5), SCATTER_BLOCK),
-                    (perturbed_mesh(3, 0.1, 6), 10), (holed, 1)):
-        with scatter_blocks(size):
+    for m, size in ((perturbed_mesh(3, 0.1, 5), SCATTER_CHUNK),
+                    (shuffled(perturbed_mesh(3, 0.1, 6), 6, -1), 10), (holed, 1)):
+        with mock.patch.object(operators, "SCATTER_CHUNK", size):
             batch = build_element_batch(m, nu=1.5, f=lambda x, y: np.cos(3.0 * x) - y)
-        idx = batch.index
-        flat = idx.indt.ravel()
-        b = assemble_rhs(batch.b_e, idx.indt)
-        local = rng.standard_normal(idx.indt.shape)
-        areas = np.broadcast_to(batch.areas, idx.indt.shape)
-        assert operators.scatter(idx, batch.b_e).tobytes() == b.tobytes()
-        for values in (local, areas):
-            ref = np.bincount(flat, weights=values.ravel(), minlength=m.n_nodes)
-            assert operators.scatter(idx, values).tobytes() == ref.tobytes()
+            idx = batch.index
+            flat = idx.indt.ravel()
+            b = assemble_rhs(batch.b_e, idx.indt)
+            local = rng.standard_normal(idx.indt.shape)
+            areas = np.broadcast_to(batch.areas, idx.indt.shape)
+            assert operators.scatter(idx, batch.b_e).tobytes() == b.tobytes()
+            for values in (local, areas):
+                ref = np.bincount(flat, weights=values.ravel(), minlength=m.n_nodes)
+                assert operators.scatter(idx, values).tobytes() == ref.tobytes()
     assert operators.scatter(idx, local)[0] == 0.0
     with pytest.raises(ValueError, match="shape mismatch"):
         operators.scatter(idx, np.ones((3, 2)))
 
 
-@pytest.mark.parametrize("size", [7, SCATTER_BLOCK])
+@pytest.mark.parametrize("size", [7, SCATTER_CHUNK])
 def test_batch_load_is_read_only_and_bitwise_assemble_rhs(size):
     rng = np.random.default_rng(5)
     meshes = [perturbed_mesh(4, 0.1, 1), shuffled(perturbed_mesh(4, 0.1, 2), 2, -1),
               with_unreferenced_node(build_unit_square_mesh(3), first=True),
               with_unreferenced_node(build_unit_square_mesh(3), first=False)]
     for m in meshes:
-        with scatter_blocks(size):
+        with mock.patch.object(operators, "SCATTER_CHUNK", size):
             batch = build_element_batch(m, nu=1.0, f=lambda x, y: np.cos(3.0 * x) - y)
             # a load that differs between an element's three nodes
-            loads = dataclasses.replace(batch, b_e=rng.standard_normal((3, m.n_elements)))
+            loads = ElementBatch.from_matrices(batch.A_e, rng.standard_normal((3, m.n_elements)),
+                                               batch.areas, batch.nu, batch.index)
         for case in (batch, loads):
             b = assemble_rhs(case.b_e, case.index.indt, m.n_nodes)
             assert case.b.tobytes() == b.tobytes()
@@ -141,20 +143,28 @@ def test_residual_matches_oracle_on_perturbed_mesh(level, amp, nu, seed):
         assert residual(on, x).tobytes() == r.tobytes()
 
 
-def bincount_residual(batch, x):
-    """Reference residual: the loads summed by np.bincount, then each element
-    product subtracted from its node in ``indt.ravel()`` order by
-    np.subtract.at, ((b[n] - s1) - s2) - ...
+def ordered_sum_residual(batch, x):
+    """Reference residual: for each node, in ascending position p = i*n_e + e
+    in ``indt.ravel()``, add each entry's A_e[i, j, e] * x[indt[j, e]]
+    (j = 0, 1, 2) to a sum that starts at 0, then subtract the sum from the
+    load, summed by np.bincount.
 
-    The einsum runs on a C-contiguous copy of A_e: there it sums each row
-    left to right, as the residual's CSR loop does.  On the strided A_e
-    view it regroups the sum and differs in the last bit.
+    Round k adds every node's k-th entry, one IEEE addition per node, so
+    each node's sum runs in exactly that order.
     """
     indt = batch.index.indt
-    products = np.einsum("ije,je->ie", np.ascontiguousarray(batch.A_e), x[indt])
-    r = np.bincount(indt.ravel(), weights=batch.b_e.ravel(), minlength=x.shape[0])
-    np.subtract.at(r, indt.ravel(), products.ravel())
-    return r
+    # entries in (i, e, j) order: node indt[i, e], value A_e[i, j, e] * x[indt[j, e]]
+    nodes = np.repeat(indt.ravel(), 3)
+    values = (batch.A_e.transpose(0, 2, 1) * x[indt.T]).ravel()
+    order = np.argsort(nodes, kind="stable")
+    nodes, values = nodes[order], values[order]
+    rank = np.arange(nodes.size) - np.searchsorted(nodes, nodes)
+    sums = np.zeros(x.shape[0])
+    for k in range(rank.max(initial=-1) + 1):
+        at = rank == k
+        sums[nodes[at]] += values[at]
+    b = np.bincount(indt.ravel(), weights=batch.b_e.ravel(), minlength=x.shape[0])
+    return b - sums
 
 
 def with_unreferenced_node(m, first):
@@ -169,25 +179,24 @@ def with_unreferenced_node(m, first):
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["perturbed", "grid100", "unreferenced-first",
+@given(kind=st.sampled_from(["perturbed", "shuffled", "grid100", "unreferenced-first",
                              "unreferenced-last"]),
        level=st.integers(2, 4), nu=st.floats(0.0, 100.0),
-       size=st.sampled_from([1, 7, 64, 1000, SCATTER_BLOCK]),
        seed=st.integers(0, 2**32 - 1))
-def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, size, seed):
+def test_residual_matches_ordered_sum_bitwise(kind, level, nu, seed):
     if kind == "perturbed":
         m = perturbed_mesh(level, 0.1, seed)
+    elif kind == "shuffled":
+        m = shuffled(perturbed_mesh(level, 0.1, seed), seed, -1)
     elif kind == "grid100":
-        m = build_grid_mesh(100)  # 19602 elements, 9999 nodes: uneven chunks
+        m = build_grid_mesh(100)  # 19602 elements, 9999 nodes: uneven ranges
     else:
         m = with_unreferenced_node(build_unit_square_mesh(level),
                                    first=kind == "unreferenced-first")
-    with scatter_blocks(size):
-        batch = build_element_batch(
-            m, nu=nu, f=lambda x, y: np.sin(7.0 * x) + y * y)
+    batch = build_element_batch(m, nu=nu, f=lambda x, y: np.sin(7.0 * x) + y * y)
     x = np.random.default_rng(seed).standard_normal(m.n_nodes)
-    ref = bincount_residual(batch, x)
-    for threads in (1, 2, 3, 4, 8):
+    ref = ordered_sum_residual(batch, x)
+    for threads in range(1, 9):
         on = dataclasses.replace(batch, threads=threads)
         assert residual(on, x).tobytes() == ref.tobytes()
     if kind.startswith("unreferenced"):
@@ -195,64 +204,20 @@ def test_blocked_scatter_matches_bincount_bitwise(kind, level, nu, size, seed):
         assert ref[lone] == 0.0
 
 
-def plan_windows(indt, n_nodes, size):
-    """Oracle: each ``size``-node block's element window [elo, ehi), by brute force."""
-    windows = []
-    for a in range(0, n_nodes, size):
-        touching = np.flatnonzero(((indt >= a) & (indt < a + size)).any(axis=0))
-        windows.append((a, min(a + size, n_nodes), touching[0], touching[-1] + 1)
-                       if touching.size else (a, min(a + size, n_nodes), 0, 0))
-    return windows
-
-
-@settings(max_examples=30, deadline=None)
-@given(level=st.integers(4, 6), size=st.sampled_from([256, 1024]),
-       swaps=st.sampled_from([-1, 0, 1, 3]), seed=st.integers(0, 2**32 - 1))
-def test_shuffled_elements_stay_within_the_window_slack_or_fall_back(level, size,
-                                                                      swaps, seed):
-    m = shuffled(perturbed_mesh(level, 0.1, seed), seed, swaps)
-    with scatter_blocks(size, slack=WINDOW_SLACK):
-        batch = build_element_batch(m, nu=2.0, f=lambda x, y: np.exp(x) - y)
-    idx = batch.index
-    n_e = batch.n_elements
-    windows = plan_windows(idx.indt, m.n_nodes, size)
-    plan = [blk[:4] for blk in idx.blocks]
-    if sum(ehi - elo for *_, elo, ehi in windows) <= WINDOW_SLACK * n_e:
-        assert plan == windows
-    else:
-        assert plan == [(0, m.n_nodes, 0, n_e)]
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(m.n_nodes)
-    local = rng.standard_normal((3, n_e))
-    ref = bincount_residual(batch, x)
-    ref_scatter = np.bincount(idx.indt.ravel(), local.ravel(), minlength=m.n_nodes)
-    for threads in (1, 2, 3):
-        on = dataclasses.replace(batch, threads=threads)
-        assert residual(on, x).tobytes() == ref.tobytes()
-    assert operators.scatter(idx, local).tobytes() == ref_scatter.tobytes()
-
-
-def plan_rows(idx):
-    """Each node's positions in ``indt.ravel()``, read back from the blocks."""
+def read_node_rows(idx, indptr, indices):
+    """For each local row i and node n, the elements of n's slots, read back
+    from the CSR structure (their columns are the elements' nodes)."""
     n_e = idx.indt.shape[1]
-    assert np.all(idx.minus_ones == -1.0)
-    rows, end = [], 0
-    for a, b, elo, ehi, indptr, indices in idx.blocks:
-        assert indices.dtype == indptr.dtype == np.int32
-        assert a == end and 0 <= elo <= ehi <= n_e
-        end = b
-        width = ehi - elo
-        assert indptr[0] == 0 and indptr.size == b - a + 1
-        assert indptr[-1] == indices.size <= idx.minus_ones.size
-        assert np.all((indices >= 0) & (indices < 3 * width))
-        i, e = np.divmod(indices, max(width, 1))
-        positions = i * n_e + e + elo
-        rows += [positions[indptr[n]:indptr[n + 1]] for n in range(b - a)]
-    assert end == idx.n_nodes
-    # the shared element row pointer spans the largest window
-    window = max((b.ehi - b.elo for b in idx.blocks), default=0)
-    assert idx.window_ptr.dtype == np.int32
-    npt.assert_array_equal(idx.window_ptr, np.arange(0, 3 * window + 1, 3))
+    by_nodes = {tuple(idx.indt[:, e]): e for e in range(n_e)}
+    assert len(by_nodes) == n_e  # no two elements on the same nodes
+    rows = []
+    for i in range(3):
+        ptr, cols = indptr[i], indices[i]
+        assert ptr.dtype == cols.dtype == np.int32
+        assert cols.shape == (3 * n_e,) and ptr[0] == 0 and ptr[-1] == 3 * n_e
+        assert np.all(ptr % 3 == 0) and np.all(np.diff(ptr) >= 0)
+        slots = [by_nodes[tuple(cols[k:k + 3])] for k in range(0, 3 * n_e, 3)]
+        rows.append([slots[ptr[n] // 3:ptr[n + 1] // 3] for n in range(idx.n_nodes)])
     return rows
 
 
@@ -263,17 +228,20 @@ def test_index_arrays():
     npt.assert_array_equal(idx.indt, m.elements.T)
     # every node appears in at least one element
     npt.assert_array_equal(np.unique(idx.indt), np.arange(m.n_nodes))
-    # the scatter blocks: node n's entries are its positions in
-    # indt.ravel(), ascending, whatever the block size; a mesh this small is
-    # one block
-    assert len(idx.blocks) == 1
-    flat = idx.indt.ravel()
-    for size in (1, 7, 64, operators.SCATTER_BLOCK):
-        with scatter_blocks(size):
-            idx = build_index_arrays(m)
-        assert len(idx.blocks) == -(-m.n_nodes // size)
-        for n, positions in enumerate(plan_rows(idx)):
-            npt.assert_array_equal(positions, np.flatnonzero(flat == n))
+    # node n's slots in local row i are the elements e with indt[i, e] == n,
+    # ascending, and slots[i] names each element's slot, on the grid and
+    # with the elements shuffled
+    for case in (idx, build_index_arrays(shuffled(m, 4, -1))):
+        indptr, indices, all_slots = operators.node_rows(case)
+        for i, row in enumerate(read_node_rows(case, indptr, indices)):
+            for n, elements in enumerate(row):
+                npt.assert_array_equal(elements, np.flatnonzero(case.indt[i] == n))
+            slots = all_slots[i]
+            order = np.concatenate(row).astype(int)
+            if slots is None:
+                npt.assert_array_equal(order, np.arange(case.indt.shape[1]))
+            else:
+                npt.assert_array_equal(slots[order], np.arange(case.indt.shape[1]))
     # indt is the mesh's int32 connectivity, not a copy of it, whatever the
     # mesh's origin: the generator, refinement, or an int64 array in either
     # order given by hand
@@ -299,9 +267,19 @@ def test_connectivity_is_held_once_as_int32():
         assert columns.shape == (3 * m.n_elements,)
         assert np.shares_memory(columns, m.elements)
         npt.assert_array_equal(columns, m.elements.ravel())
-        # one block, whose window is every element
-        npt.assert_array_equal(idx.window_ptr, np.arange(0, 3 * m.n_elements + 1, 3))
-        assert idx.window_ptr.dtype == np.int32
+        # a local row in element order takes the connectivity as its
+        # columns; the others hold columns of their own
+        _, indices, slots = operators.node_rows(idx)
+        for i in range(3):
+            ordered = bool(np.all(np.diff(idx.indt[i]) >= 0))
+            assert np.shares_memory(indices[i], m.elements) == ordered
+            assert (slots[i] is None) == ordered
+    # on the grid that is row 0, whose node never decreases: the batch's
+    # row 0 shares memory with the mesh's connectivity
+    m = build_unit_square_mesh(5)
+    indices = build_element_batch(m).rows.indices
+    assert np.shares_memory(indices[0], m.elements)
+    assert not any(np.shares_memory(indices[i], m.elements) for i in (1, 2))
     # the range is checked before the cast, which would wrap node 2**32 to 0
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="nonexistent"):
@@ -316,31 +294,16 @@ def test_connectivity_is_held_once_as_int32():
         IndexArrays(np.array([[0], [1], [2]]), 2**31)
 
 
-def held(obj):
-    """``obj`` and all it holds through dataclass fields and tuples, recursively."""
-    yield obj
-    if dataclasses.is_dataclass(obj):
-        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
-    if isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from held(item)
-
-
-def test_index_arrays_hold_nothing_element_long_but_the_connectivity_and_positions():
-    # with several blocks in grid order, the pointers and the minus ones are
-    # sized by a block or a window, not by the element count
-    for level, size in ((6, 256), (9, SCATTER_BLOCK)):
-        m = build_unit_square_mesh(level)
-        with scatter_blocks(size):
-            idx = build_index_arrays(m)
-        objs = list(held(idx))
-        positions = [o.indices for o in objs if isinstance(o, ScatterBlock)]
-        assert len(positions) > 1
-        long = [arr.shape for arr in objs
-                if isinstance(arr, np.ndarray) and arr.size >= m.n_elements
-                and not np.shares_memory(arr, idx.indt)
-                and not any(np.shares_memory(arr, p) for p in positions)]
-        assert long == []
+def test_index_arrays_bytes_per_element_are_bounded():
+    # level 7: 32768 elements, 16641 nodes.  Beside the connectivity, the
+    # grid's rows 1 and 2 hold 12 bytes of columns per element each, and
+    # the three int32 row pointers ~6 bytes per element (one node per two
+    # elements)
+    m = build_unit_square_mesh(7)
+    rows = build_element_batch(m).rows
+    held = rows.indptr.nbytes + sum(cols.nbytes for cols in rows.indices
+                                    if not np.shares_memory(cols, m.elements))
+    assert held / m.n_elements <= 31.0
 
 
 def test_index_arrays_validation():
@@ -353,28 +316,36 @@ def test_index_arrays_validation():
         IndexArrays(-indt, 3)
     with pytest.raises(ValueError):  # node 2 is not below the node count
         IndexArrays(indt, 2)
-    # nodes that no element references get empty rows of their own, and a
-    # block of them an empty window
-    idx = IndexArrays(indt, 5)
-    (block,) = idx.blocks
-    assert block[:4] == (0, 5, 0, 1)
-    npt.assert_array_equal(block.indptr, [0, 1, 2, 3, 3, 3])
-    with scatter_blocks(2):
-        idx = IndexArrays(indt, 5)
-    assert [blk[:4] for blk in idx.blocks] == [(0, 2, 0, 1), (2, 4, 0, 1), (4, 5, 0, 0)]
-    for blk, ptr in zip(idx.blocks, ([0, 1, 2], [0, 1, 1], [0, 0])):
-        npt.assert_array_equal(blk.indptr, ptr)
-    assert idx.minus_ones.size == 2
-    npt.assert_array_equal(idx.window_ptr, [0, 3])
-    # no nodes, no blocks
-    empty = IndexArrays(np.empty((3, 0), dtype=np.int32), 0)
-    assert empty.blocks == ()
-    npt.assert_array_equal(empty.window_ptr, [0])
+    # nodes that no element references get empty rows
+    indptr, indices, slots = operators.node_rows(IndexArrays(indt, 5))
+    npt.assert_array_equal(indptr, [[0, 3, 3, 3, 3, 3], [0, 0, 3, 3, 3, 3],
+                                    [0, 0, 0, 3, 3, 3]])
+    for cols in indices:
+        npt.assert_array_equal(cols, [0, 1, 2])
+    assert slots == [None] * 3
+    # no nodes, no slots
+    indptr, indices, _ = operators.node_rows(IndexArrays(np.empty((3, 0), dtype=np.int32), 0))
+    npt.assert_array_equal(indptr, [[0], [0], [0]])
+    assert [cols.size for cols in indices] == [0, 0, 0]
 
 
 def test_non_integer_indt_is_rejected():
     with pytest.raises(ValueError, match="indt must hold integer"):
         IndexArrays([[0.0], [1.9], [2.0]], 3)
+
+
+def test_thread_count_change_keeps_every_array():
+    # replacing the thread count re-assembles nothing: the store, the index
+    # arrays and b are the same objects, and the residual the same bits
+    m, batch, _, _ = make_problem(4, nu=2.0)
+    x = np.random.default_rng(6).standard_normal(m.n_nodes)
+    for threads in (2, 3):
+        on = dataclasses.replace(batch, threads=threads)
+        assert on.threads == threads
+        for name in ("rows", "b_e", "areas", "index", "b"):
+            assert getattr(on, name) is getattr(batch, name), name
+        assert on.beta == batch.beta
+        assert residual(on, x).tobytes() == residual(batch, x).tobytes()
 
 
 def test_residual_reuses_one_pool(monkeypatch):
@@ -398,8 +369,7 @@ def test_residual_reuses_one_pool(monkeypatch):
 def test_concurrent_residuals_share_the_pool():
     # several callers at once on the shared pools, more threads than cores,
     # with frequent switches: every result must still be bitwise serial
-    with scatter_blocks(64):
-        m, batch, _, _ = make_problem(5)
+    m, batch, _, _ = make_problem(5)
     xs = [np.random.default_rng(s).standard_normal(m.n_nodes) for s in range(4)]
     refs = [residual(batch, x).tobytes() for x in xs]
     batches = [dataclasses.replace(batch, threads=2 + k % 3) for k in range(4)]
@@ -478,12 +448,10 @@ def test_csr_matvec_contract():
 
 def test_residual_into_reused_workspace_matches_fresh_calls_bitwise(monkeypatch):
     # a reused out vector starts each call full of the previous call's
-    # values, the first call full of NaN, and so does every window buffer:
-    # every entry must be written before it is read
+    # values, the first call full of NaN: every entry must be written before
+    # it is read
     m = perturbed_mesh(4, 0.1, 3)
-    with scatter_blocks(40):
-        batch = build_element_batch(m, nu=2.5, f=lambda x, y: np.sin(5.0 * x) + y)
-    assert len(batch.index.blocks) == 8
+    batch = build_element_batch(m, nu=2.5, f=lambda x, y: np.sin(5.0 * x) + y)
     rng = np.random.default_rng(8)
     xs = [rng.standard_normal(m.n_nodes) for _ in range(4)]
     fresh = [residual(batch, x).tobytes() for x in xs]
@@ -516,7 +484,7 @@ def test_workspace_validation():
     x[:] = np.linspace(0.0, 1.0, n_n)
     ref = residual(batch, x.copy())
     assert residual(batch, x, out=shared[n_n:]).tobytes() == ref.tobytes()
-    # the result is written block by block while x is still read
+    # the result is written range by range while x is still read
     with pytest.raises(ValueError, match="x overlaps out"):
         residual(batch, x, out=x)
     with pytest.raises(ValueError, match="x overlaps out"):
@@ -524,10 +492,9 @@ def test_workspace_validation():
 
 
 def test_one_residual_call_allocates_less_than_one_element_array():
-    # level 9: 263169 nodes, 524288 elements, 9 blocks; the (3, n_e) element
-    # residuals the blocked pass replaces would be 12.6 MB
+    # level 9: 263169 nodes, 524288 elements; the (3, n_e) element
+    # residuals the node-row pass never forms would be 12.6 MB
     m, batch, _, _ = make_problem(9)
-    assert len(batch.index.blocks) == 9
     x = np.random.default_rng(1).standard_normal(m.n_nodes)
     local_bytes = 3 * batch.n_elements * 8
     for threads in (1, 2):
@@ -551,8 +518,7 @@ def test_thread_count_outside_cap_raises_before_any_pool(monkeypatch):
     monkeypatch.setattr(operators, "_pool", no_pool)
     for threads in (0, -1, MAX_THREADS + 1):
         with pytest.raises(ValueError, match=f"between 1 and {MAX_THREADS}"):
-            ElementBatch(batch.A_e, batch.b_e, batch.areas, batch.nu, batch.index,
-                         threads=threads)
+            dataclasses.replace(batch, threads=threads)
         with pytest.raises(ValueError, match=f"between 1 and {MAX_THREADS}"):
             build_element_batch(m, threads=threads)
 

@@ -206,16 +206,17 @@ def test_direct_solve_on_renumbered_perturbed_mesh(level, amp, nu, seed):
 
 @pytest.mark.parametrize("compare_direct", [False, True])
 def test_csgraph_is_imported_only_by_a_direct_solve(compare_direct):
-    # scipy.sparse.csgraph costs ~1 MB of resident memory; a run with no
-    # reference solve must not import it
+    # scipy.sparse.csgraph costs ~1 MB of resident memory, scipy.sparse.linalg
+    # and scipy.linalg ~11 MB; a run with no reference solve imports none
     code = ("import sys\n"
             "from ebsolve.cli import ExperimentConfig, run_experiment\n"
             f"run_experiment(ExperimentConfig(level=3, iters=4, solver='cheb3', "
             f"compare_direct={compare_direct}))\n"
-            "print('scipy.sparse.csgraph' in sys.modules)\n")
+            "print(*(name in sys.modules for name in\n"
+            "        ('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(compare_direct)]
+    assert proc.stdout.split() == [str(compare_direct)] * 3
 
 
 def test_dense_eigenvalues_level1():

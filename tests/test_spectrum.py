@@ -117,7 +117,8 @@ def test_mass_bounds_count_the_last_node_when_no_element_references_it():
 
 def test_mass_bounds_copy_no_element_array():
     # level 9: the broadcast areas were once copied to a (3, n_e) array
-    # (12.6 MB) to be summed; each block's window now reads them directly
+    # (12.6 MB) to be summed; each chunk of the scatter now reads them
+    # directly
     m, batch, d, _ = make_problem(9)
     ref = mass_bounds(batch, d)
     tracemalloc.start()
@@ -162,6 +163,29 @@ def test_operator_bounds_with_mass_term_pin_the_coupled_lower_end(nu):
     # everywhere, but Weyl is larger on the one-free-node grid
     n_weyl = {3.0: 1, 100.0: 2}[nu]
     assert branches == ["weyl"] * n_weyl + ["coupled"] * (8 - n_weyl)
+
+
+# operator_bounds of the element-order layout, whose residual scattered
+# element products by node blocks and read beta off A_e's diagonal with
+# np.einsum("iie->e"); the node-row layout takes beta in the batch pass
+PINNED_BOUNDS = {
+    (4, 0.0): ("0x1.3ad06011469fbp-4", "0x1.fb14be7fbae58p+2"),
+    (4, 3.0): ("0x1.699519a3114cfp-4", "0x1.fbd4be7fbae58p+2"),
+    (4, 100.0): ("0x1.d3f48bc4aaa1bp-2", "0x1.0a0a5f3fdd72cp+3"),
+    (8, 0.0): ("0x1.3bd2c8da49511p-12", "0x1.fffb10b4dc96ep+2"),
+    (8, 3.0): ("0x1.6bd18d070a021p-12", "0x1.fffbd0b4dc96ep+2"),
+    (8, 100.0): ("0x1.deea69d986425p-10", "0x1.000a085a6e4b7p+3"),
+    ("perturbed", 3.0): ("0x1.6468e6c1a72d5p-4", "0x1.fbecb5e1f7d52p+2"),
+    ("perturbed", 100.0): ("0x1.a87b95dda8355p-2", "0x1.0b99cfa52a61dp+3"),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_BOUNDS))
+def test_operator_bounds_are_bitwise_pinned(key):
+    level, nu = key
+    m = perturbed_mesh(4, 0.1, 3) if level == "perturbed" else build_grid_mesh(2**level + 1)
+    b = operator_bounds(build_element_batch(m, nu=nu), constant_dirichlet(m, 1.0))
+    assert (b.lambda1.hex(), b.lambda2.hex()) == PINNED_BOUNDS[key]
 
 
 def test_operator_bounds_with_mass_term_are_within_1e_4_of_the_minimum():
