@@ -47,7 +47,6 @@ class ExperimentConfig:
     tol: float | None = None
     threads: int = 1
     out_dir: str | None = None
-    export_vtk: bool = False
     compare_direct: bool = False
 
     def __post_init__(self):
@@ -196,11 +195,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _export_all(cfg: ExperimentConfig, mesh: Mesh, report: ExperimentReport) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ext = ".vtk" if cfg.export_vtk else ".csv"
     for name, run in report.runs.items():
         if run.history is not None:
             export_history(run.history, out / f"history_{name}.csv")
-        export_solution(mesh, run.x, out / f"solution_{name}{ext}")
+        export_solution(mesh, run.x, out / f"solution_{name}.csv")
 
 
 def export_history(history: ConvergenceHistory, path) -> None:
@@ -216,27 +214,9 @@ def export_history(history: ConvergenceHistory, path) -> None:
 
 
 def export_solution(mesh: Mesh, x: np.ndarray, path) -> None:
-    """Nodal solution as `x,y,u` CSV, or legacy VTK when the path ends in .vtk."""
-    path = Path(path)
-    if path.suffix == ".vtk":
-        _write_vtk(mesh, x, path)
-        return
+    """Nodal solution as `x,y,u` CSV."""
     rows = np.column_stack([mesh.nodes, x]).ravel().tolist()
-    path.write_text("x,y,u\n" + "%.17g,%.17g,%.17g\n" * mesh.n_nodes % tuple(rows))
-
-
-def _write_vtk(mesh: Mesh, x: np.ndarray, path: Path) -> None:
-    n_n, n_e = mesh.n_nodes, mesh.n_elements
-    path.write_text(
-        "# vtk DataFile Version 3.0\nebsolve solution\nASCII\n"
-        f"DATASET UNSTRUCTURED_GRID\nPOINTS {n_n} double\n"
-        + "%.17g %.17g 0\n" * n_n % tuple(mesh.nodes.ravel().tolist())
-        + f"CELLS {n_e} {4 * n_e}\n"
-        + "3 %d %d %d\n" * n_e % tuple(mesh.elements.ravel().tolist())
-        + f"CELL_TYPES {n_e}\n" + "5\n" * n_e
-        + f"POINT_DATA {n_n}\nSCALARS u double 1\nLOOKUP_TABLE default\n"
-        + "%.17g\n" * n_n % tuple(np.asarray(x).tolist())
-    )
+    Path(path).write_text("x,y,u\n" + "%.17g,%.17g,%.17g\n" * mesh.n_nodes % tuple(rows))
 
 
 def _print_report(report: ExperimentReport) -> None:
@@ -285,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"at most {MAX_THREADS} (default %(default)s)")
     p.add_argument("--out-dir", default=defaults.out_dir,
                    help="directory for history/solution exports")
-    p.add_argument("--export-vtk", action="store_true", default=defaults.export_vtk,
-                   help="write solutions as legacy VTK instead of CSV")
     p.add_argument("--compare-direct", action="store_true",
                    default=defaults.compare_direct,
                    help="also solve the assembled system (level <= 10) and record error norms")

@@ -48,25 +48,25 @@ class ElementBatch:
     row as ``rows`` (see ``NodeRows``): ``rows.data[i, k]`` is A_e[i, :, e]
     for the element e in slot k of local row i.  ``A_e`` derives the
     (3, 3, n_e) element-order array from it on each access, a new
-    read-only array.  b_e holds the local load vectors (one column per
-    element) prior to assembly and ``areas`` the element areas.  ``b`` is
-    the assembled load, read-only and bitwise
-    ``assemble_rhs(b_e, index.indt, index.n_nodes)``: every residual starts
-    from it.  ``beta`` is max_e area_e*tr(A_e)/3, the coupling constant of
-    ``spectrum.operator_bounds`` at nu > 0.  In a batch from
-    ``build_element_batch``, b_e is a read-only broadcast view of one
-    per-element load vector and ``index.indt`` a view of the mesh's
-    connectivity.  The batch keeps no mesh: ``local_stiffness_batch(m)``
-    and ``local_mass_batch(m)`` give K_e and M_e for the mesh it was built
-    from.  ``threads`` (1 to ``MAX_THREADS``) is every residual's worker
-    count.  The fields are what the batch stores, so
-    ``dataclasses.replace(batch, threads=t)`` keeps every array; ``rows``,
-    ``b`` and ``beta`` do not follow a replaced load or geometry, which
-    ``from_matrices`` lays out anew.
+    read-only array.  ``areas`` holds the element areas, the only
+    per-element array stored beside ``rows``.  The source is f = 1, so
+    the local load vectors are b_e[j] = area/3 by one-point quadrature;
+    ``b_e`` derives them from ``areas`` on each access, a read-only
+    (3, n_e) broadcast view.  ``b`` is the assembled load, read-only and
+    bitwise ``assemble_rhs(b_e, index.indt, index.n_nodes)``: every
+    residual starts from it.  ``beta`` is max_e area_e*tr(A_e)/3, the
+    coupling constant of ``spectrum.operator_bounds`` at nu > 0.  In a
+    batch from ``build_element_batch``, ``index.indt`` is a view of the
+    mesh's connectivity.  The batch keeps no mesh:
+    ``local_stiffness_batch(m)`` and ``local_mass_batch(m)`` give K_e and
+    M_e for the mesh it was built from.  ``threads`` (1 to
+    ``MAX_THREADS``) is every residual's worker count.  The fields are
+    what the batch stores, so ``dataclasses.replace(batch, threads=t)``
+    keeps every array; ``rows``, ``b`` and ``beta`` do not follow replaced
+    geometry, which ``from_matrices`` lays out anew.
     """
 
     rows: NodeRows
-    b_e: npt.NDArray[np.float64]
     areas: npt.NDArray[np.float64]
     nu: float
     index: IndexArrays
@@ -79,8 +79,6 @@ class ElementBatch:
         n_e, n_n = self.index.indt.shape[1], self.index.n_nodes
         if self.rows.data.shape != (3, n_e, 3) or self.rows.indptr.shape != (3, n_n + 1):
             raise ValueError(f"rows must hold {n_e} elements over {n_n} nodes")
-        if self.b_e.shape != (3, n_e):
-            raise ValueError(f"b_e must have shape (3, {n_e}), got {self.b_e.shape}")
         if self.areas.shape != (n_e,):
             raise ValueError(f"areas must have shape ({n_e},), got {self.areas.shape}")
         if self.b.shape != (n_n,):
@@ -90,7 +88,7 @@ class ElementBatch:
         self.b.setflags(write=False)
 
     @classmethod
-    def from_matrices(cls, A_e: np.ndarray, b_e: np.ndarray, areas: np.ndarray, nu: float,
+    def from_matrices(cls, A_e: np.ndarray, areas: np.ndarray, nu: float,
                       index: IndexArrays, threads: int = 1) -> ElementBatch:
         """The batch of element-order matrices A_e, of shape (3, 3, n_e).
 
@@ -103,8 +101,8 @@ class ElementBatch:
         indptr, indices, slots = node_rows(index)
         data = np.empty((3, n_e, 3))
         _lay(data, [slice(None) if s is None else s for s in slots], A_e)
-        return cls(NodeRows(indptr, indices, data), b_e, areas, nu, index,
-                   scatter(index, b_e), _trace_max(A_e, areas) / 3.0, threads)
+        return cls(NodeRows(indptr, indices, data), areas, nu, index,
+                   scatter(index, _local_load(areas)), _trace_max(A_e, areas) / 3.0, threads)
 
     @property
     def A_e(self) -> npt.NDArray[np.float64]:
@@ -121,8 +119,21 @@ class ElementBatch:
         return out.transpose(0, 2, 1)
 
     @property
+    def b_e(self) -> npt.NDArray[np.float64]:
+        """The (3, n_e) local load vectors area/3, a read-only broadcast view.
+
+        Derived from ``areas`` on each access.
+        """
+        return _local_load(self.areas)
+
+    @property
     def n_elements(self) -> int:
         return self.index.indt.shape[1]
+
+
+def _local_load(areas: np.ndarray) -> npt.NDArray[np.float64]:
+    """b_e[j] = area/3 for f = 1, one column per element (read-only)."""
+    return np.broadcast_to(areas / 3.0, (3, len(areas)))
 
 
 def _lay(data: np.ndarray, where: list, k: np.ndarray) -> None:
@@ -181,19 +192,17 @@ def _mass(areas) -> npt.NDArray[np.float64]:
     return _MASS_PATTERN[:, :, None] * areas
 
 
-def build_element_batch(m: Mesh, nu: float = 0.0, f=None, threads: int = 1) -> ElementBatch:
-    """Assemble the full batch for a mesh (default source f = 1).
+def build_element_batch(m: Mesh, nu: float = 0.0, threads: int = 1) -> ElementBatch:
+    """Assemble the full batch for a mesh, with source f = 1.
 
     One pass over blocks of ``GATHER_BLOCK`` elements: each block's
     corners are gathered once, by 1-D gathers on the coordinate views
     ``m.nodes.T``, then give its areas and gradients, its
     A_e = area * G^T G + nu * M_e, written into its slots of ``NodeRows``,
-    its part of beta, and its load b_e[j] = f(centroid)*area/3 by one-point
-    quadrature.  ``f`` is evaluated pointwise, one block of centroids per
-    call; a scalar f is broadcast; without ``f`` the load is area/3 and no
-    centroid is formed.  The index arrays and the slots (``node_rows``)
+    and its part of beta.  The index arrays and the slots (``node_rows``)
     are computed first, while only the mesh is resident, and no
-    full-width temporary is formed.
+    full-width temporary is formed in the pass.  After it the load
+    b_e[j] = area/3 is assembled into ``b``.
 
     Contiguous ranges of blocks run on ``threads`` workers of the
     long-lived pool the residual uses, the calling thread taking the first
@@ -202,12 +211,10 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None, threads: int = 1) -> E
     ``threads`` outside 1..``operators.MAX_THREADS`` raises ``ValueError``
     before anything is allocated.  Each block writes only its own entries
     of the stored arrays, so the batch is bitwise independent of
-    ``threads``.  With more than one thread ``f`` is called concurrently
-    from worker threads, so it must be pointwise and safe to call from
-    several threads at once.  A block that holds a degenerate element or a
-    non-finite source value raises a ``ValueError`` naming the element by
-    global index; every range finishes first, and the error raised is that
-    of the lowest failing block, the one the serial pass raises.
+    ``threads``.  A block that holds a degenerate element raises a
+    ``ValueError`` naming the element by global index; every range
+    finishes first, and the error raised is that of the lowest failing
+    block, the one the serial pass raises.
     """
     if not (np.isfinite(nu) and nu >= 0):
         raise ValueError(f"nu must be finite and nonnegative, got {nu}")
@@ -218,7 +225,6 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None, threads: int = 1) -> E
     size = GATHER_BLOCK
     data = np.empty((3, n_e, 3))
     areas = np.empty(n_e)
-    load = np.empty(n_e)
     traces = np.zeros(-(-n_e // size))
     xs, ys = m.nodes.T
 
@@ -227,8 +233,7 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None, threads: int = 1) -> E
             lo = k * size
             blk = slice(lo, lo + size)
             corners = m.elements[blk].T.astype(np.intp)
-            x, y = xs[corners], ys[corners]  # x[j, e]: x of the block's element e's node j
-            a, grads = _geometry(x, y, lo)
+            a, grads = _geometry(xs[corners], ys[corners], lo)
             A = np.einsum("kie,kje->ije", grads, grads)
             A *= a
             if nu > 0:
@@ -236,27 +241,15 @@ def build_element_batch(m: Mesh, nu: float = 0.0, f=None, threads: int = 1) -> E
             _lay(data, [blk if w is None else w[blk] for w in slots], A)
             traces[k] = _trace_max(A, a)
             areas[blk] = a
-            if f is None:
-                load[blk] = a / 3.0  # bitwise 1.0 * a / 3.0
-                continue
-            # centroids summed corner by corner and divided by 3: the arithmetic
-            # of nodes[elements].mean(axis=1)
-            vals = f((x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0)
-            vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), a.shape)
-            finite = np.isfinite(vals)
-            if not finite.all():
-                raise ValueError("source function returned a non-finite value at "
-                                 f"element {lo + int(np.argmin(finite))}")
-            load[blk] = vals * a / 3.0
 
     # each range's temporaries (~3 MB a block) are freed when it returns,
     # and the slots (16.8 MB at level 10) here, before the load is
     # assembled beside the finished arrays
     _split(run, len(traces), threads)
     slots = None
-    b_e = np.broadcast_to(load, (3, n_e))
-    return ElementBatch(NodeRows(indptr, indices, data), b_e, areas, float(nu), index,
-                        scatter(index, b_e), float(traces.max(initial=0.0)) / 3.0, threads)
+    return ElementBatch(NodeRows(indptr, indices, data), areas, float(nu), index,
+                        scatter(index, _local_load(areas)),
+                        float(traces.max(initial=0.0)) / 3.0, threads)
 
 
 def local_stiffness_batch(m: Mesh) -> npt.NDArray[np.float64]:

@@ -13,7 +13,8 @@ degeneracy) is computed and checked in one place, the block pass of
 ``elements.build_element_batch``.  Connectivity is held once, as int32 in
 C order (one node triple per row).  The element operator reads it without
 copying: ``operators.IndexArrays`` holds ``elements.T`` as its (3, n_e)
-gather array ``indt`` and builds its node-row scatter blocks from it.
+gather array ``indt``, from which ``operators.node_rows`` derives the
+node-row layout of A_e.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy.typing as npt
 # (level 12 already means ~33.5M triangles).
 MAX_LEVEL = 12
 
-# connectivity, row pointers and scatter positions are int32
+# connectivity and the node rows' pointers, columns and slots are int32
 INDEX_MAX = np.iinfo(np.int32).max
 
 

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
 from ebsolve import (
@@ -30,13 +32,10 @@ def diagonal_batch(diag, load):
     """
     A = np.diag(np.asarray(diag, dtype=np.float64)).reshape(3, 3, 1)
     indt = np.array([[0], [1], [2]], dtype=np.int64)
-    return ElementBatch.from_matrices(
-        A_e=A,
-        b_e=np.asarray(load, dtype=np.float64).reshape(3, 1),
-        areas=np.array([0.5]),
-        nu=0.0,
-        index=IndexArrays(indt, 3),
-    )
+    batch = ElementBatch.from_matrices(A_e=A, areas=np.array([0.5]), nu=0.0,
+                                       index=IndexArrays(indt, 3))
+    # node i is element 0's node i, so the assembled load is ``load`` itself
+    return dataclasses.replace(batch, b=np.array(load, dtype=np.float64))
 
 
 def stacked_signed_areas(nodes, elements):

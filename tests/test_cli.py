@@ -35,8 +35,11 @@ def test_parser_defaults():
     assert args.tol is None
     assert args.threads == 1
     assert args.out_dir is None
-    assert args.export_vtk is False
     assert args.compare_direct is False
+    # solutions are written as CSV only: the former VTK switch is unknown
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--export-vtk"])
+    assert exc.value.code == 2
 
 
 def test_readme_flag_table_matches_the_parser():
@@ -264,25 +267,6 @@ def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
         assert names == sorted(p.name for p in out.iterdir())
         for name in names:
             assert (out / name).read_bytes() == (outs[1] / name).read_bytes()
-
-
-def test_vtk_export(tmp_path):
-    cfg = ExperimentConfig(level=1, iters=4, solver="richardson",
-                           out_dir=str(tmp_path), export_vtk=True)
-    report = run_experiment(cfg)
-    lines = (tmp_path / "solution_richardson.vtk").read_text().splitlines()
-    assert lines[0].startswith("# vtk DataFile")
-    assert "POINTS 9 double" in lines
-    assert "CELLS 8 32" in lines
-    assert "CELL_TYPES 8" in lines
-    i = lines.index("CELL_TYPES 8")
-    assert lines[i + 1 : i + 9] == ["5"] * 8
-    cells_at = lines.index("CELLS 8 32")
-    assert all(line.startswith("3 ") for line in lines[cells_at + 1 : cells_at + 9])
-    assert "POINT_DATA 9" in lines
-    at = lines.index("LOOKUP_TABLE default")
-    values = np.array([float(v) for v in lines[at + 1 : at + 10]])
-    npt.assert_array_equal(values, report.runs["richardson"].x)
 
 
 def test_export_helpers_accept_str_paths(tmp_path):

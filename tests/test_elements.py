@@ -89,47 +89,12 @@ def test_mass_scales_with_area():
 
 
 def test_load_constant_source():
+    # f = 1: every element's three loads are area/3, and they sum to |Omega|
     m = build_unit_square_mesh(3)
     area = 0.5 * 0.25**3
-    b = build_element_batch(m, f=lambda x, y: np.ones_like(x)).b_e
+    b = build_element_batch(m).b_e
     npt.assert_allclose(b, np.full((3, m.n_elements), area / 3.0), rtol=1e-15)
     assert abs(b.sum() - 1.0) <= 1e-14
-
-    assert np.all(build_element_batch(m, f=lambda x, y: np.zeros_like(x)).b_e == 0.0)
-
-
-def test_load_centroid_rule():
-    # element 0 at level 1 has corners (0,0), (.5,0), (.5,.5)
-    m = build_unit_square_mesh(1)
-    b = build_element_batch(m, f=lambda x, y: x + y).b_e
-    centroid_val = (0.0 + 0.5 + 0.5) / 3 + (0.0 + 0.0 + 0.5) / 3
-    npt.assert_allclose(b[:, 0], centroid_val * 0.125 / 3.0, rtol=1e-15)
-
-
-def test_load_matches_mean_centroid_reference():
-    # centroids are summed corner by corner; the reference is the
-    # nodes[elements].mean(axis=1) form, bit for bit on an irregular mesh
-    m = perturbed_mesh(4, 0.1, 11)
-    f = lambda x, y: np.sin(7.0 * x) * np.exp(y)
-    centroids = m.nodes[m.elements].mean(axis=1)
-    ref = f(centroids[:, 0], centroids[:, 1]) * stacked_signed_areas(m.nodes, m.elements) / 3.0
-    for block in (7, elements.GATHER_BLOCK):
-        with mock.patch.object(elements, "GATHER_BLOCK", block):
-            b = build_element_batch(m, f=f).b_e
-        for j in range(3):
-            assert b[j].tobytes() == ref.tobytes()
-
-
-def test_load_scalar_broadcast():
-    m = build_unit_square_mesh(1)
-    b = build_element_batch(m, f=lambda x, y: 2.0).b_e
-    npt.assert_allclose(b, 2.0 * build_element_batch(m, f=lambda x, y: np.ones_like(x)).b_e)
-
-
-def test_load_rejects_nonfinite_source():
-    m = build_unit_square_mesh(1)
-    with pytest.raises(ValueError):
-        build_element_batch(m, f=lambda x, y: np.full_like(x, np.nan))
 
 
 def test_degenerate_triangle_rejected():
@@ -148,20 +113,17 @@ def test_batch_validation():
     K = local_stiffness_batch(m)
     areas = stacked_signed_areas(m.nodes, m.elements)
     idx = build_index_arrays(m)
-    b = build_element_batch(m).b_e
-    with pytest.raises(ValueError):
-        ElementBatch.from_matrices(A_e=K, b_e=b[:, :3], areas=areas, nu=0.0, index=idx)
     for nu in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="nu"):
-            ElementBatch.from_matrices(A_e=K, b_e=b, areas=areas, nu=nu, index=idx)
+            ElementBatch.from_matrices(A_e=K, areas=areas, nu=nu, index=idx)
         with pytest.raises(ValueError, match="nu"):
             build_element_batch(m, nu=nu)
     with pytest.raises(ValueError):
-        ElementBatch.from_matrices(A_e=K[:, :, :3], b_e=b, areas=areas, nu=0.0, index=idx)
+        ElementBatch.from_matrices(A_e=K[:, :, :3], areas=areas, nu=0.0, index=idx)
     with pytest.raises(ValueError):
-        ElementBatch.from_matrices(A_e=K, b_e=b, areas=areas[:3], nu=0.0, index=idx)
+        ElementBatch.from_matrices(A_e=K, areas=areas[:3], nu=0.0, index=idx)
     # the stored fields are checked too: the node rows' sizes and b's length
-    batch = ElementBatch.from_matrices(A_e=K, b_e=b, areas=areas, nu=0.0, index=idx)
+    batch = ElementBatch.from_matrices(A_e=K, areas=areas, nu=0.0, index=idx)
     rows = batch.rows
     with pytest.raises(ValueError, match="rows must hold"):
         dataclasses.replace(batch, rows=NodeRows(rows.indptr, tuple(c[:9] for c in rows.indices),
@@ -193,26 +155,36 @@ def test_batch_layout_keeps_only_A_e(nu):
     tr = np.einsum("iie->e", batch.A_e) * batch.areas
     assert batch.beta == tr.max() / 3.0
     # laid out again from the element-order matrices: the same batch, bitwise
-    again = ElementBatch.from_matrices(batch.A_e, batch.b_e, batch.areas, nu, batch.index)
+    again = ElementBatch.from_matrices(batch.A_e, batch.areas, nu, batch.index)
     assert again.rows.data.tobytes() == rows.data.tobytes()
     assert again.rows.indptr.tobytes() == rows.indptr.tobytes()
     assert [c.tobytes() for c in again.rows.indices] == [c.tobytes() for c in rows.indices]
     assert again.b.tobytes() == batch.b.tobytes() and again.beta == batch.beta
-    # K_e and M_e are not held beside the store, and no mesh is kept to rebuild them
+    # K_e, M_e and the local loads are not held beside the store, and no
+    # mesh is kept to rebuild them
     stored = [name for name, value in vars(batch).items()
               if isinstance(value, np.ndarray) and value.size >= m.n_elements]
-    assert stored == ["b_e", "areas"]
+    assert stored == ["areas"]
     assert [name for name, value in vars(rows).items()
             if isinstance(value, np.ndarray) and value.size == 9 * m.n_elements] == ["data"]
     assert not any(isinstance(value, Mesh) for value in vars(batch).values())
 
 
 def test_batch_load_is_one_read_only_vector():
-    m = build_unit_square_mesh(3)
-    batch = build_element_batch(m, f=lambda x, y: x + 2.0 * y)
-    assert batch.b_e.shape == (3, m.n_elements)
-    assert not batch.b_e.flags.writeable
-    owner = batch.b_e
+    # the local loads are area/3, derived from the stored areas on each
+    # access: a read-only broadcast view, never a field of its own
+    m = perturbed_mesh(3, 0.1, 4)
+    batch = build_element_batch(m, nu=2.0)
+    b_e = batch.b_e
+    assert b_e.shape == (3, m.n_elements)
+    assert not b_e.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        b_e[0, 0] = 1.0
+    for j in range(3):
+        assert b_e[j].tobytes() == (batch.areas / 3.0).tobytes()
+    assert b_e is not batch.b_e
+    assert "b_e" not in vars(batch)
+    owner = b_e
     while isinstance(owner.base, np.ndarray):
         owner = owner.base
     assert owner.nbytes == m.n_elements * owner.itemsize
@@ -225,12 +197,11 @@ def test_build_element_batch_defaults():
     npt.assert_array_equal(batch.A_e, local_stiffness_batch(m) + 2.0 * local_mass_batch(m))
     assert batch.nu == 2.0
     assert batch.n_elements == m.n_elements
-    # default source is f = 1
-    npt.assert_array_equal(batch.b_e,
-                           build_element_batch(m, f=lambda x, y: np.ones_like(x)).b_e)
+    default = build_element_batch(m)
+    assert default.nu == 0.0 and default.threads == 1
 
 
-def full_width_batch(m, nu, f):
+def full_width_batch(m, nu):
     """Reference: A_e, b_e and areas from one full-width corner gather."""
     p = m.nodes[m.elements]  # (n_e, 3, 2)
     x, y = p[:, :, 0].T, p[:, :, 1].T
@@ -244,9 +215,7 @@ def full_width_batch(m, nu, f):
     A_e = np.einsum("kie,kje->ije", grads, grads) * areas
     if nu > 0:
         A_e += nu * ((np.ones((3, 3)) + np.eye(3))[:, :, None] / 12.0 * areas)
-    centroids = p.mean(axis=1)
-    load = f(centroids[:, 0], centroids[:, 1]) * areas / 3.0
-    return A_e, np.broadcast_to(load, (3, m.n_elements)), areas
+    return A_e, np.broadcast_to(areas / 3.0, (3, m.n_elements)), areas
 
 
 @settings(max_examples=30, deadline=None)
@@ -255,11 +224,10 @@ def full_width_batch(m, nu, f):
        seed=st.integers(0, 2**32 - 1))
 def test_blocked_A_e_matches_full_width_einsum_bitwise(level, amp, nu, block, seed):
     m = perturbed_mesh(level, amp, seed)
-    f = lambda x, y: np.sin(7.0 * x) * np.exp(y)
     with mock.patch.object(elements, "GATHER_BLOCK", block):
-        batch = build_element_batch(m, nu=nu, f=f)
+        batch = build_element_batch(m, nu=nu)
     assert batch.A_e.transpose(0, 2, 1).flags.c_contiguous
-    for got, want in zip((batch.A_e, batch.b_e, batch.areas), full_width_batch(m, nu, f)):
+    for got, want in zip((batch.A_e, batch.b_e, batch.areas), full_width_batch(m, nu)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -287,14 +255,6 @@ def with_slivers(m, at):
     return Mesh(nodes, tri, m.boundary_nodes)
 
 
-def nan_at_centroids_of(m, at):
-    """A source that is NaN at the centroids of elements ``at`` and 1 elsewhere."""
-    p = m.nodes[m.elements[list(at)]]
-    bad = {((p[e, 0, 0] + p[e, 1, 0] + p[e, 2, 0]) / 3.0,
-            (p[e, 0, 1] + p[e, 1, 1] + p[e, 2, 1]) / 3.0) for e in range(len(at))}
-    return lambda x, y: np.array([np.nan if (u, v) in bad else 1.0 for u, v in zip(x, y)])
-
-
 # 128 to 130 elements in 8 or 9 blocks of 16: element 100 lies in the last
 # range, which a pool worker runs, and 20 in the calling thread's range; 60
 # lies in the calling thread's range on 2 threads and in a worker's on 3
@@ -305,8 +265,6 @@ def test_bad_element_named_by_lowest_global_index_on_any_thread_count(threads, a
     with mock.patch.object(elements, "GATHER_BLOCK", 16):
         with pytest.raises(ValueError, match=f"degenerate element {at[0]}:"):
             build_element_batch(with_slivers(m, at), threads=threads)
-        with pytest.raises(ValueError, match=f"non-finite value at element {at[0]}$"):
-            build_element_batch(m, f=nan_at_centroids_of(m, at), threads=threads)
 
 
 def test_thread_count_outside_cap_raises_before_anything_is_allocated(monkeypatch):
@@ -326,13 +284,15 @@ def test_batch_is_bitwise_independent_of_threads(nu, swaps):
     # blocks of 7 elements: every thread takes several of the 128 elements' blocks
     m = shuffled(perturbed_mesh(3, 0.1, 9), 3, swaps)
     callers = set()
+    geometry = elements._geometry
 
-    def f(x, y):
+    def recorded(x, y, lo):
         callers.add(threading.get_ident())
-        return np.sin(7.0 * x) * np.exp(y)
+        return geometry(x, y, lo)
 
-    with mock.patch.object(elements, "GATHER_BLOCK", 7):
-        batches = {t: build_element_batch(m, nu=nu, f=f, threads=t) for t in (1, 2, 3)}
+    with mock.patch.object(elements, "GATHER_BLOCK", 7), \
+            mock.patch.object(elements, "_geometry", recorded):
+        batches = {t: build_element_batch(m, nu=nu, threads=t) for t in (1, 2, 3)}
     # the pool's ranges really ran on other threads
     assert len(callers) >= 2
     ref = batches[1]

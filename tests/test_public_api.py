@@ -46,6 +46,13 @@ def test_harness_oracle_imports():
     assert A.shape == (mesh.n_nodes, mesh.n_nodes)
     assert b.shape == (mesh.n_nodes,)
     assert d.nd.size == 16
+    # the oracle's load, assembled from the derived local loads, is the
+    # batch's own, bitwise, at the workloads' nu
+    mesh = build_unit_square_mesh(4)
+    for nu in (0.0, 100.0):
+        batch = build_element_batch(mesh, nu=nu)
+        b = assemble_rhs(batch.b_e, batch.index.indt)
+        assert b.tobytes() == batch.b.tobytes(), nu
 
 
 def test_every_workload_config_is_valid(perfbench):
