@@ -163,8 +163,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ref_time = 0.0
     if _needs_reference(cfg):
         t0 = time.perf_counter()
-        A = assemble_sparse(batch.A_e, batch.index.indt, n_nodes=batch.index.n_nodes)
-        reference = solve_reference(A, batch.b, dirichlet)
+        # the assembled matrix is handed over, not kept: solve_reference frees
+        # it before it factorizes, and nothing after the reference reads it
+        reference = solve_reference(
+            assemble_sparse(batch.A_e, batch.index.indt, n_nodes=batch.index.n_nodes),
+            batch.b, dirichlet)
         ref_time = time.perf_counter() - t0
 
     # every solver copies x0 into its own iterate, so one read-only
@@ -214,9 +217,22 @@ def export_history(history: ConvergenceHistory, path) -> None:
 
 
 def export_solution(mesh: Mesh, x: np.ndarray, path) -> None:
-    """Nodal solution as `x,y,u` CSV."""
-    rows = np.column_stack([mesh.nodes, x]).ravel().tolist()
-    Path(path).write_text("x,y,u\n" + "%.17g,%.17g,%.17g\n" * mesh.n_nodes % tuple(rows))
+    """Nodal solution as `x,y,u` CSV rows with 17 significant digits.
+
+    Each distinct coordinate, told apart by its bits so that -0.0 still
+    reads ``-0``, is formatted once; the rows' ``x,y,`` prefixes then make
+    the template that one ``%`` pass fills with ``u``.  ``x`` must hold one
+    value per node, else ``ValueError``.
+    """
+    n = mesh.n_nodes
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"x has shape {x.shape}, but the mesh has {n} nodes, "
+                         f"so it needs shape ({n},)")
+    bits, where = np.unique(mesh.nodes.view(np.uint64), return_inverse=True)
+    coords = np.array(["%.17g" % c for c in bits.view(np.float64).tolist()], dtype=object)
+    template = "%s,%s,%%.17g\n" * n % tuple(coords[where.ravel()].tolist())
+    Path(path).write_text("x,y,u\n" + template % tuple(x.tolist()))
 
 
 def _print_report(report: ExperimentReport) -> None:

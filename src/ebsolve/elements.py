@@ -24,8 +24,8 @@ import numpy as np
 import numpy.typing as npt
 
 from .mesh import Mesh
-from .operators import (IndexArrays, NodeRows, _split, build_index_arrays, check_threads,
-                        node_rows, scatter)
+from .operators import (IndexArrays, NodeRows, _slot_orders, _split, build_index_arrays,
+                        check_threads, node_rows, scatter)
 
 EPS_AREA = 1e-14
 
@@ -108,13 +108,18 @@ class ElementBatch:
     def A_e(self) -> npt.NDArray[np.float64]:
         """The (3, 3, n_e) element matrices in element order, a new read-only array.
 
-        Derived from ``rows`` on each access; it is the transposed view of
-        a C-contiguous (3, n_e, 3) array.
+        Derived from ``rows`` on each access: each row's counting sort
+        gives the element of each slot (``operators._slot_orders``), and no
+        column array is made.  It is the transposed view of a C-contiguous
+        (3, n_e, 3) array.
         """
         data = self.rows.data
         out = np.empty_like(data)
-        for i, slots in enumerate(node_rows(self.index)[2]):
-            out[i] = data[i] if slots is None else data[i][slots]
+        for i, _, order in _slot_orders(self.index):
+            if order is None:
+                out[i] = data[i]
+            else:
+                out[i][order] = data[i]
         out.setflags(write=False)
         return out.transpose(0, 2, 1)
 

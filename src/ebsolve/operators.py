@@ -89,38 +89,57 @@ class IndexArrays:
         object.__setattr__(self, "indt", indt)
 
 
+def _slot_orders(index: IndexArrays):
+    """Each local row's slots, sorted by one counting sort per row.
+
+    Row i's slots are its elements stably sorted by node ``indt[i, e]``
+    (scipy's COO -> CSR conversion).  Yields (i, ptr, order) for each row
+    i: ``ptr`` (int32, n_nodes + 1) the slot offsets, so node n's slots are
+    ptr[n]..ptr[n+1]; ``order`` (intp, n_e) the element in each slot, or
+    None for a row that never decreases, which is in element order.  Both
+    are buffers that the next row overwrites.
+    """
+    indt, n_n = index.indt, index.n_nodes
+    n_e = indt.shape[1]
+    # scratch reused by every row: fresh pages cost as much as the sorts
+    elements = np.arange(n_e, dtype=np.int32)
+    nodes, perm = np.empty((2, n_e), dtype=np.int32)
+    ptr = np.empty(n_n + 1, dtype=np.int32)
+    order = np.empty(n_e, dtype=np.intp)  # perm as numpy's gather and scatter take it
+    values = np.empty((2, n_e), dtype=np.int8)  # coo_tocsr's values, unused
+    for i, row in enumerate(indt):
+        np.copyto(nodes, row)
+        coo_tocsr(n_n, n_e, n_e, nodes, elements, values[0], ptr, perm, values[1])
+        if np.array_equal(perm, elements):
+            yield i, ptr, None
+        else:
+            np.copyto(order, perm)
+            yield i, ptr, order
+
+
 def node_rows(index: IndexArrays):
     """The CSR structure of A_e by node row, and each element's slots.
 
-    Local row i's slots are its elements stably sorted by node
-    ``indt[i, e]``, by one counting sort (scipy's COO -> CSR conversion).
-    Returns (indptr, indices, slots), for each row i: ``indptr[i]`` (int32)
-    the entry offsets, three per slot, so node n's entries are
+    Local row i's slots are those of ``_slot_orders``.  Returns (indptr,
+    indices, slots), for each row i: ``indptr[i]`` (int32) the entry
+    offsets, three per slot, so node n's entries are
     indptr[i, n]..indptr[i, n+1]; ``indices[i]`` (int32, 3*n_e) at
     3k..3k+2 the nodes of slot k's element; ``slots[i][e]`` (int32)
-    element e's slot.  A row that never decreases is in element order: its
-    slots are None and its ``indices`` are ``indt.T.ravel()``, the
-    connectivity itself (row 0 of the grid).
+    element e's slot.  A row in element order has None as its slots and
+    ``indt.T.ravel()``, the connectivity itself, as its ``indices`` (row 0
+    of the grid).
     """
     indt, n_n = index.indt, index.n_nodes
     n_e = indt.shape[1]
     indptr = np.empty((3, n_n + 1), dtype=np.int32)
     indices, slots = [indt.T.reshape(-1)] * 3, [None] * 3
-    # scratch reused by every row: fresh pages cost as much as the sorts
     elements = np.arange(n_e, dtype=np.int32)
-    nodes, perm = np.empty((2, n_e), dtype=np.int32)
-    order = np.empty(n_e, dtype=np.intp)  # perm as numpy's gather and scatter take it
-    values = np.empty((2, n_e), dtype=np.int8)  # coo_tocsr's values, unused
-    for i, row in enumerate(indt):
-        np.copyto(nodes, row)
-        coo_tocsr(n_n, n_e, n_e, nodes, elements, values[0], indptr[i], perm, values[1])
-        if np.array_equal(perm, elements):
-            continue
-        np.copyto(order, perm)
-        indices[i] = np.take(indt.T, order, axis=0).reshape(-1)
-        slots[i] = np.empty_like(perm)
-        slots[i][order] = elements
-    indptr *= 3
+    for i, ptr, order in _slot_orders(index):
+        np.multiply(ptr, 3, out=indptr[i])
+        if order is not None:
+            indices[i] = np.take(indt.T, order, axis=0).reshape(-1)
+            slots[i] = np.empty(n_e, dtype=np.int32)
+            slots[i][order] = elements
     return indptr, tuple(indices), slots
 
 

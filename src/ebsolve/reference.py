@@ -4,12 +4,15 @@ Everything here builds or factorizes an explicit sparse matrix and is kept
 out of the iterative solvers' path on purpose: it exists so tests, the
 CLI's ``direct`` solver and its ``--compare-direct`` error norms can check
 the element-by-element kernels against conventional assembly.  The direct
-solve is SuperLU on the reduced free-node system, renumbered first by
-reverse Cuthill-McKee (Cuthill & McKee 1969) and then ordered by minimum
-degree on its symmetric pattern (``MMD_AT_PLUS_A``; George & Liu 1989), so
-that its fill and time do not depend on how the mesh numbers its nodes.
-It is the only solve.  Its memory grows ~4x per level (2.2 GB at level 10),
-so systems above ``MAX_DIRECT_UNKNOWNS`` free nodes, level 10's count, are refused.
+solve is SuperLU on the reduced free-node system without its stored zeros,
+renumbered first by reverse Cuthill-McKee (Cuthill & McKee 1969) and then
+ordered by minimum degree on its symmetric pattern (``MMD_AT_PLUS_A``;
+George & Liu 1989), so that its fill and time do not depend on how the mesh
+numbers its nodes.  It is the only solve, and it factorizes beside one copy
+of the system: the assembled matrix and each slice of it are dropped once
+the next exists.  Its memory grows ~4x per level (1.9 GB at level 10), so
+systems above ``MAX_DIRECT_UNKNOWNS`` free nodes, level 10's count, are
+refused.
 """
 
 from __future__ import annotations
@@ -71,15 +74,31 @@ def solve_reference(
     if free.size == 0:
         return x
 
+    # each copy is dropped as soon as the next exists, so that SuperLU's
+    # factors are allocated beside Aff alone: a caller that passes A on
+    # without keeping it (run_experiment) frees it here
     rhs = b[free]
     A_free = A[free]
+    del A
     if d.nd.size:
         rhs = rhs - A_free[:, d.nd] @ d.values
     Aff = A_free[:, free]
+    del A_free
+    # Aff is a new matrix, so the caller's A keeps its stored zeros.  The
+    # orderings and the factorization see only the stored pattern, and at
+    # nu = 0 on the grid 28% of Aff's entries are exact zeros (the
+    # hypotenuse couplings of the right triangles): at level 8, 453,137
+    # stored entries become 324,105.
+    Aff.eliminate_zeros()
 
     # reverse Cuthill-McKee, then minimum degree on the pattern of A^T + A,
-    # Aff's own: at level 8 (nu = 0) 4.30 M L+U nonzeros, against 5.22 M
-    # for minimum degree alone and 8.88 M for SuperLU's default COLAMD.
+    # Aff's own: at level 8 (nu = 0) 3.97 M L+U nonzeros, against 4.30 M
+    # with the zeros kept, 5.22 M for minimum degree alone and 8.88 M for
+    # SuperLU's default COLAMD.  At levels 9 and 10 minimum degree fills the
+    # zero-free pattern more (21.5 M against 21.2 M, 110 M against 101 M,
+    # where the factorization takes ~20% longer), yet a fresh --solver
+    # direct process still peaks lower without the zeros: by ~30 MB at
+    # level 9 and ~45 MB at level 10.
     # Minimum degree alone also depends on the numbering it starts from: on
     # a randomly renumbered level-7 grid it took ~12 s against ~50 ms in
     # grid order; after RCM both take ~40 ms.  free follows the
@@ -88,7 +107,9 @@ def solve_reference(
     # reference never import them (~11 MB of resident memory).
     perm = scipy.sparse.csgraph.reverse_cuthill_mckee(Aff, symmetric_mode=True)
     Aff, rhs, free = Aff[perm][:, perm], rhs[perm], free[perm]
-    sol = scipy.sparse.linalg.spsolve(Aff.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+    # spsolve factors a CSR matrix as the CSC matrix of its transpose, which
+    # is Aff, a symmetric matrix, again: no CSC copy is made
+    sol = scipy.sparse.linalg.spsolve(Aff, rhs, permc_spec="MMD_AT_PLUS_A")
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("factorization produced non-finite values (system not SPD?)")
     check = np.linalg.norm(Aff @ sol - rhs)

@@ -7,7 +7,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ebsolve import SpectralBounds, build_unit_square_mesh
+from conftest import perturbed_mesh
+
+from ebsolve import Mesh, SpectralBounds, build_unit_square_mesh
 from ebsolve.operators import MAX_THREADS
 from ebsolve.cli import (
     ITERATIVE_SOLVERS,
@@ -279,6 +281,38 @@ def test_export_helpers_accept_str_paths(tmp_path):
     assert np.loadtxt(tmp_path / "s.csv", delimiter=",", skiprows=1).shape == (9, 3)
 
 
+def per_node_csv(mesh, x):
+    """The solution CSV formatted one row at a time, every value on its own."""
+    rows = np.column_stack([mesh.nodes, x]).ravel().tolist()
+    return "x,y,u\n" + "%.17g,%.17g,%.17g\n" * mesh.n_nodes % tuple(rows)
+
+
+def test_solution_export_formats_each_row_as_the_per_node_formula(tmp_path):
+    # each distinct coordinate is formatted once, by its bits: -0.0 keeps its
+    # sign where 0.0 sits beside it, and repeated values share one string
+    grid = build_unit_square_mesh(4)
+    nodes = grid.nodes.copy()
+    nodes[0] = (-0.0, 0.0)
+    nodes[1, 1] = -0.0
+    nodes[18] = nodes[17]
+    signed = Mesh(nodes, grid.elements, grid.boundary_nodes)
+    u = np.random.default_rng(5).standard_normal(grid.n_nodes)
+    u[:3] = (-0.0, 1e-300, 123456789.0)
+    for mesh in (grid, perturbed_mesh(4, 0.1, 9), signed):
+        path = tmp_path / "s.csv"
+        export_solution(mesh, u, path)
+        assert path.read_text() == per_node_csv(mesh, u)
+    assert path.read_text().splitlines()[1:3] == ["-0,0,-0", "0.0625,-0,1e-300"]
+
+
+def test_solution_export_rejects_a_vector_of_another_length(tmp_path):
+    mesh = build_unit_square_mesh(3)
+    for bad in (np.zeros(80), np.zeros(82), np.zeros((81, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}") + ".* 81 nodes"):
+            export_solution(mesh, bad, tmp_path / "s.csv")
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_tol_stops_early(tmp_path):
     cfg = ExperimentConfig(level=2, iters=500, solver="cheb3", tol=1e-10,
                            out_dir=str(tmp_path))
@@ -456,3 +490,36 @@ def test_mesh_is_kept_only_for_an_export(monkeypatch, tmp_path, export):
     run_experiment(ExperimentConfig(level=3, iters=4, solver="cheb3",
                                     out_dir=str(tmp_path) if export else None))
     assert alive == [export]
+
+
+def test_assembled_matrix_is_freed_before_the_factorization(monkeypatch):
+    # run_experiment hands the assembled matrix to solve_reference without
+    # keeping it, and solve_reference drops it, A[free] and the unpermuted
+    # Aff before SuperLU allocates its factors
+    import gc
+    import weakref
+
+    import scipy.sparse.linalg
+
+    import ebsolve.cli as cli
+
+    assembled, alive = [], []
+    assemble, spsolve, solve = cli.assemble_sparse, scipy.sparse.linalg.spsolve, cli.richardson
+
+    def recording_assemble(*args, **kwargs):
+        A = assemble(*args, **kwargs)
+        assembled.append(weakref.ref(A))
+        return A
+
+    def checking(fn, where):
+        def wrapper(*args, **kwargs):
+            gc.collect()
+            alive.append((where, assembled[0]() is not None))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "assemble_sparse", recording_assemble)
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", checking(spsolve, "spsolve"))
+    monkeypatch.setattr(cli, "richardson", checking(solve, "solver"))
+    run_experiment(ExperimentConfig(level=3, iters=4, solver="all", compare_direct=True))
+    assert alive == [("spsolve", False), ("solver", False)]

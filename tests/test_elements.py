@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import perturbed_mesh, shuffled, stacked_signed_areas
 
-from ebsolve import elements
+from ebsolve import elements, operators
 from ebsolve.operators import MAX_THREADS, NodeRows, node_rows
 from ebsolve import (
     ElementBatch,
@@ -130,6 +130,26 @@ def test_batch_validation():
                                                  rows.data[:, :3].copy()))
     with pytest.raises(ValueError, match="b must have shape"):
         dataclasses.replace(batch, b=batch.b[:3])
+
+
+@pytest.mark.parametrize("swaps", [0, -1])
+def test_A_e_is_derived_from_the_slot_orders_alone(monkeypatch, swaps):
+    # each access sorts the rows again for the element of each slot, but
+    # makes none of node_rows' column arrays or slot maps: its transient
+    # memory is the result (72 B per element) and the sorts' scratch
+    m = shuffled(build_unit_square_mesh(6), 2, swaps)
+    batch = build_element_batch(m, nu=1.5)
+    expected = local_stiffness_batch(m) + 1.5 * local_mass_batch(m)
+    for module in (elements, operators):
+        monkeypatch.setattr(module, "node_rows", mock.Mock(side_effect=AssertionError))
+    tracemalloc.start()
+    try:
+        A_e = batch.A_e
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A_e.tobytes() == expected.tobytes()
+    assert peak <= 100 * m.n_elements
 
 
 @pytest.mark.parametrize("nu", [0.0, 2.5])

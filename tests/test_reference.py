@@ -148,10 +148,10 @@ def test_solve_reference_rejects_a_right_hand_side_of_another_shape():
 @pytest.mark.parametrize("nu", [0.0, 100.0])
 @pytest.mark.parametrize("level", range(3, 9))
 def test_minimum_degree_solve_agrees_with_colamd(level, nu):
-    # the direct solve renumbers the free-node system by reverse
-    # Cuthill-McKee and orders it by minimum degree on its symmetric
-    # pattern; SuperLU's default COLAMD on the system as numbered gives the
-    # same solution up to round-off
+    # the direct solve drops the free-node system's stored zeros, renumbers
+    # it by reverse Cuthill-McKee and orders it by minimum degree on its
+    # symmetric pattern; SuperLU's default COLAMD on the system as numbered
+    # gives the same solution up to round-off
     m, batch, d, b = make_problem(level, nu=nu)
     A = assemble_sparse(batch.A_e, batch.index.indt).tocsr()
     with mock.patch.object(scipy.sparse.linalg, "spsolve",
@@ -161,15 +161,65 @@ def test_minimum_degree_solve_agrees_with_colamd(level, nu):
     free = np.setdiff1d(np.arange(m.n_nodes), d.nd)
     rhs = b[free] - A[free][:, d.nd] @ d.values
     Aff = A[free][:, free]
+    zeros = np.count_nonzero(Aff.data == 0)
+    # at nu = 0 the hypotenuse couplings of the grid's right triangles are
+    # exact zeros; at nu > 0 the mass term fills them
+    assert (zeros > 0) == (nu == 0)
+    Aff.eliminate_zeros()
     perm = scipy.sparse.csgraph.reverse_cuthill_mckee(Aff, symmetric_mode=True)
     assert np.any(perm != np.arange(free.size))
     solved, solved_rhs = spsolve.call_args.args
-    assert (solved != Aff[perm][:, perm]).nnz == 0
+    # the CSR matrix itself is factorized: no CSC copy, no stored zero
+    assert solved.format == "csr" and np.all(solved.data != 0)
+    expected = Aff[perm][:, perm]
+    assert solved.nnz == expected.nnz and (solved != expected).nnz == 0
     assert solved_rhs.tobytes() == rhs[perm].tobytes()
     ref = u.copy()
     ref[free] = scipy.sparse.linalg.spsolve(Aff.tocsc(), rhs, permc_spec="COLAMD")
     assert np.all(u[d.nd] == d.values)
     npt.assert_allclose(u, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("nu", [0.0, 3.0])
+@pytest.mark.parametrize("level", [4, 7])
+def test_solve_reference_keeps_the_callers_matrix_and_its_zeros(level, nu):
+    # the stored zeros are dropped from a fresh free-node slice, never from
+    # the caller's A; the solution agrees with one that factorizes them
+    m, batch, d, b = make_problem(level, nu=nu)
+    A = assemble_sparse(batch.A_e, batch.index.indt)
+    before = [A.nnz] + [getattr(A, name).tobytes() for name in ("indptr", "indices", "data")]
+    assert (np.count_nonzero(A.data == 0) > 0) == (nu == 0)
+    u = solve_reference(A, b, d)
+    after = [A.nnz] + [getattr(A, name).tobytes() for name in ("indptr", "indices", "data")]
+    assert after == before
+    # the solve as it was with the zeros stored: RCM on their pattern, and
+    # minimum degree on the CSC copy
+    free = np.setdiff1d(np.arange(m.n_nodes), d.nd)
+    Aff = A[free][:, free]
+    rhs = b[free] - A[free][:, d.nd] @ d.values
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(Aff, symmetric_mode=True)
+    with_zeros = u.copy()
+    with_zeros[free[perm]] = scipy.sparse.linalg.spsolve(
+        Aff[perm][:, perm].tocsc(), rhs[perm], permc_spec="MMD_AT_PLUS_A")
+    npt.assert_allclose(u, with_zeros, rtol=1e-12, atol=0.0)
+
+
+def test_solve_reference_factorizes_beside_one_matrix(monkeypatch):
+    # A, A[free] and the unpermuted Aff are dropped before SuperLU allocates
+    # its factors: the only sparse matrix solve_reference holds then is the
+    # one it factorizes
+    m, batch, d, b = make_problem(4)
+    spsolve, held = scipy.sparse.linalg.spsolve, []
+
+    def recording(A, *args, **kwargs):
+        caller = sys._getframe(1).f_locals
+        held.extend((name, value is A) for name, value in caller.items()
+                    if scipy.sparse.issparse(value))
+        return spsolve(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", recording)
+    solve_reference(assemble_sparse(batch.A_e, batch.index.indt), b, d)
+    assert held == [("Aff", True)]
 
 
 def direct_solution(m, nu=0.0):
