@@ -142,6 +142,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     problems = _validate(cfg)
     if problems:
         raise ValueError("; ".join(problems))
+    # made first, so a path that cannot be a directory fails like a bad option
+    if cfg.out_dir is not None:
+        try:
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--out-dir {cfg.out_dir!r} cannot be made a directory: "
+                             f"{exc.strerror or exc}") from exc
 
     mesh = build_unit_square_mesh(cfg.level)
     batch = build_element_batch(mesh, nu=cfg.nu, threads=cfg.threads)
@@ -197,7 +204,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _export_all(cfg: ExperimentConfig, mesh: Mesh, report: ExperimentReport) -> None:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for name, run in report.runs.items():
         if run.history is not None:
             export_history(run.history, out / f"history_{name}.csv")

@@ -7,12 +7,13 @@ block.  Contiguous ranges of blocks run on the residual's thread pool;
 each block writes only its own entries, so the batch is bitwise the same
 for any thread count.  That pass is the library's only geometry code: it
 computes each element's area once and rejects, by global index, any
-element that is clockwise, degenerate or of non-finite area.  The batch
-stores A_e by node row (``NodeRows``): the pass writes each block's
-entries straight into their slots of the node-row CSR matrices, the data
-the residual kernel streams once, in order.  A_e in element order is
-derived from them on access.  ``local_stiffness_batch`` and
-``local_mass_batch`` are thin wrappers over that pass and return plain
+element that is clockwise, degenerate or of non-finite area, and it is
+the only code that lays out a batch.  The batch stores A_e by node row
+(``operators.NodeRows``, which alone knows each element's slots): the pass
+writes each block's entries straight into their slots of the node-row CSR
+matrices, the data the residual kernel streams once, in order.  A_e in
+element order is read back from them on access.  ``local_stiffness_batch``
+and ``local_mass_batch`` are thin wrappers over that pass and return plain
 C-contiguous (3, 3, n_e) arrays.
 """
 
@@ -24,8 +25,8 @@ import numpy as np
 import numpy.typing as npt
 
 from .mesh import Mesh
-from .operators import (IndexArrays, NodeRows, _slot_orders, _split, build_index_arrays,
-                        check_threads, node_rows, scatter)
+from .operators import (IndexArrays, NodeRows, _split, build_index_arrays, check_threads,
+                        node_rows, scatter)
 
 EPS_AREA = 1e-14
 
@@ -46,14 +47,14 @@ class ElementBatch:
 
     A_e = K_e + nu*M_e is the only resident element matrix, held by node
     row as ``rows`` (see ``NodeRows``): ``rows.data[i, k]`` is A_e[i, :, e]
-    for the element e in slot k of local row i.  ``A_e`` derives the
-    (3, 3, n_e) element-order array from it on each access, a new
-    read-only array.  ``areas`` holds the element areas, the only
-    per-element array stored beside ``rows``.  The source is f = 1, so
-    the local load vectors are b_e[j] = area/3 by one-point quadrature;
-    ``b_e`` derives them from ``areas`` on each access, a read-only
-    (3, n_e) broadcast view.  ``b`` is the assembled load, read-only and
-    bitwise ``assemble_rhs(b_e, index.indt, index.n_nodes)``: every
+    for the element e in slot k of local row i.  ``A_e`` reads the
+    (3, 3, n_e) element-order array back from it on each access
+    (``NodeRows.read``), a new read-only array.  ``areas`` holds the
+    element areas, the only per-element array stored beside ``rows``.  The
+    source is f = 1, so the local load vectors are b_e[j] = area/3 by
+    one-point quadrature; ``b_e`` derives them from ``areas`` on each
+    access, a read-only (3, n_e) broadcast view.  ``b`` is the assembled
+    load, bitwise ``assemble_rhs(b_e, index.indt, index.n_nodes)``: every
     residual starts from it.  ``beta`` is max_e area_e*tr(A_e)/3, the
     coupling constant of ``spectrum.operator_bounds`` at nu > 0.  In a
     batch from ``build_element_batch``, ``index.indt`` is a view of the
@@ -63,7 +64,9 @@ class ElementBatch:
     ``MAX_THREADS``) is every residual's worker count.  The fields are
     what the batch stores, so ``dataclasses.replace(batch, threads=t)``
     keeps every array; ``rows``, ``b`` and ``beta`` do not follow replaced
-    geometry, which ``from_matrices`` lays out anew.
+    geometry.  The stored arrays, ``rows``' data and index arrays,
+    ``areas`` and ``b``, are made read-only on construction, so no write
+    through the batch can change a later residual.
     """
 
     rows: NodeRows
@@ -85,43 +88,17 @@ class ElementBatch:
             raise ValueError(f"b must have shape ({n_n},), got {self.b.shape}")
         if not (np.isfinite(self.nu) and self.nu >= 0):
             raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
-        self.b.setflags(write=False)
-
-    @classmethod
-    def from_matrices(cls, A_e: np.ndarray, areas: np.ndarray, nu: float,
-                      index: IndexArrays, threads: int = 1) -> ElementBatch:
-        """The batch of element-order matrices A_e, of shape (3, 3, n_e).
-
-        Lays A_e out by node row, assembles b with ``operators.scatter``
-        and takes beta from A_e's diagonal, as ``build_element_batch`` does.
-        """
-        n_e = index.indt.shape[1]
-        if A_e.shape != (3, 3, n_e):
-            raise ValueError(f"A_e must have shape (3, 3, {n_e}), got {A_e.shape}")
-        indptr, indices, slots = node_rows(index)
-        data = np.empty((3, n_e, 3))
-        _lay(data, [slice(None) if s is None else s for s in slots], A_e)
-        return cls(NodeRows(indptr, indices, data), areas, nu, index,
-                   scatter(index, _local_load(areas)), _trace_max(A_e, areas) / 3.0, threads)
+        rows = self.rows
+        for stored in (rows.data, rows.indptr, *rows.indices, self.areas, self.b):
+            stored.setflags(write=False)
 
     @property
     def A_e(self) -> npt.NDArray[np.float64]:
         """The (3, 3, n_e) element matrices in element order, a new read-only array.
 
-        Derived from ``rows`` on each access: each row's counting sort
-        gives the element of each slot (``operators._slot_orders``), and no
-        column array is made.  It is the transposed view of a C-contiguous
-        (3, n_e, 3) array.
+        Read back from ``rows`` on each access (``NodeRows.read``).
         """
-        data = self.rows.data
-        out = np.empty_like(data)
-        for i, _, order in _slot_orders(self.index):
-            if order is None:
-                out[i] = data[i]
-            else:
-                out[i][order] = data[i]
-        out.setflags(write=False)
-        return out.transpose(0, 2, 1)
+        return self.rows.read(self.index)
 
     @property
     def b_e(self) -> npt.NDArray[np.float64]:
@@ -139,19 +116,6 @@ class ElementBatch:
 def _local_load(areas: np.ndarray) -> npt.NDArray[np.float64]:
     """b_e[j] = area/3 for f = 1, one column per element (read-only)."""
     return np.broadcast_to(areas / 3.0, (3, len(areas)))
-
-
-def _lay(data: np.ndarray, where: list, k: np.ndarray) -> None:
-    """Write element matrices k, (3, 3, B), into their slots ``where[i]`` of each row i.
-
-    ``where[i]`` is a slice where row i is in element order, else the
-    elements' slots.  Column by column: one write per entry (i, j).
-    """
-    for i, slots in enumerate(where):
-        if not isinstance(slots, slice):
-            slots = slots.astype(np.intp)  # numpy's index type, converted once
-        for j in range(3):
-            data[i, slots, j] = k[i, j]
 
 
 def _trace_max(k: np.ndarray, areas: np.ndarray) -> float:
@@ -203,7 +167,7 @@ def build_element_batch(m: Mesh, nu: float = 0.0, threads: int = 1) -> ElementBa
     One pass over blocks of ``GATHER_BLOCK`` elements: each block's
     corners are gathered once, by 1-D gathers on the coordinate views
     ``m.nodes.T``, then give its areas and gradients, its
-    A_e = area * G^T G + nu * M_e, written into its slots of ``NodeRows``,
+    A_e = area * G^T G + nu * M_e, written into its slots (``NodeRows.write``),
     and its part of beta.  The index arrays and the slots (``node_rows``)
     are computed first, while only the mesh is resident, and no
     full-width temporary is formed in the pass.  After it the load
@@ -225,10 +189,9 @@ def build_element_batch(m: Mesh, nu: float = 0.0, threads: int = 1) -> ElementBa
         raise ValueError(f"nu must be finite and nonnegative, got {nu}")
     check_threads(threads)
     index = build_index_arrays(m)
-    indptr, indices, slots = node_rows(index)
+    rows, slots = node_rows(index)
     n_e = m.n_elements
     size = GATHER_BLOCK
-    data = np.empty((3, n_e, 3))
     areas = np.empty(n_e)
     traces = np.zeros(-(-n_e // size))
     xs, ys = m.nodes.T
@@ -243,7 +206,7 @@ def build_element_batch(m: Mesh, nu: float = 0.0, threads: int = 1) -> ElementBa
             A *= a
             if nu > 0:
                 A += nu * _mass(a)
-            _lay(data, [blk if w is None else w[blk] for w in slots], A)
+            rows.write(slots, blk, A)
             traces[k] = _trace_max(A, a)
             areas[blk] = a
 
@@ -252,7 +215,7 @@ def build_element_batch(m: Mesh, nu: float = 0.0, threads: int = 1) -> ElementBa
     # assembled beside the finished arrays
     _split(run, len(traces), threads)
     slots = None
-    return ElementBatch(NodeRows(indptr, indices, data), areas, float(nu), index,
+    return ElementBatch(rows, areas, float(nu), index,
                         scatter(index, _local_load(areas)),
                         float(traces.max(initial=0.0)) / 3.0, threads)
 

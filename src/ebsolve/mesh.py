@@ -12,9 +12,9 @@ ranges and finite coordinates.  Element geometry (areas, orientation,
 degeneracy) is computed and checked in one place, the block pass of
 ``elements.build_element_batch``.  Connectivity is held once, as int32 in
 C order (one node triple per row).  The element operator reads it without
-copying: ``operators.IndexArrays`` holds ``elements.T`` as its (3, n_e)
-gather array ``indt``, from which ``operators.node_rows`` derives the
-node-row layout of A_e.
+copying: ``operators.IndexArrays`` holds the transpose of ``Mesh.elements``
+as its (3, n_e) gather array ``indt``, from which ``operators.node_rows``
+derives the node-row layout of A_e.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class Mesh:
     """A triangulation: node coordinates, connectivity and boundary set.
 
     ``elements`` holds one node-index triple per row, as a C-contiguous
-    int32 (n_e, 3) array: ``elements.ravel()`` lists each element's three
-    nodes in turn, the column array of the element operator, and
+    int32 (n_e, 3) array: raveled, it lists each element's three nodes in
+    turn, the column array of the element operator, and
     ``operators.build_index_arrays`` shares the array rather than copying
     it.  Non-finite coordinates, out-of-range indices and meshes with more
     nodes than int32 can index are rejected here; that every triple is

@@ -11,13 +11,14 @@ assembles once.  A_e is read by node row, the row-gathered layout of
 Cecka, Lew & Darve (2011): each local row i of A_e is its own CSR matrix
 over the nodes, whose row n holds one slot per element e with
 ``indt[i, e] == n``, in ascending e, and each slot the three entries
-``A_e[i, :, e]`` at element e's nodes (``node_rows``, ``NodeRows``; the
-batch stores the entries in that slot order, and a row already in element
-order takes the connectivity itself as its columns).  The three matrices
-sum to the system matrix, so three ``csr_matvec`` passes into one vector
-and one subtraction from b give the residual: the gather, the local 3x3
-product and the scatter in one pass, with no (3, n_e) array of element
-values.  Node n sums its element products in ascending position in
+``A_e[i, :, e]`` at element e's nodes.  Only this module knows which slot
+each element takes: ``node_rows`` sorts the slots, ``NodeRows.write``
+writes element matrices into them and ``NodeRows.read`` reads A_e back in
+element order; a row already in element order takes the connectivity
+itself as its columns.  The three matrices sum to the system matrix, so
+three ``csr_matvec`` passes into one vector and one subtraction from b
+give the residual: the gather, the local 3x3 product and the scatter in
+one pass, with no (3, n_e) array of element values.  Node n sums its element products in ascending position in
 ``indt.ravel()``.  ``residual`` is the only implementation of this
 operator; ``scatter``, which sums (3, n_e) local values at set-up, is
 ``np.add.at`` in the same order.  Global vectors are 1-D float64 of length
@@ -117,15 +118,13 @@ def _slot_orders(index: IndexArrays):
             yield i, ptr, order
 
 
-def node_rows(index: IndexArrays):
-    """The CSR structure of A_e by node row, and each element's slots.
+def node_rows(index: IndexArrays) -> tuple[NodeRows, list]:
+    """The node-row layout of A_e over ``index``, and each element's slots.
 
-    Local row i's slots are those of ``_slot_orders``.  Returns (indptr,
-    indices, slots), for each row i: ``indptr[i]`` (int32) the entry
-    offsets, three per slot, so node n's entries are
-    indptr[i, n]..indptr[i, n+1]; ``indices[i]`` (int32, 3*n_e) at
-    3k..3k+2 the nodes of slot k's element; ``slots[i][e]`` (int32)
-    element e's slot.  A row in element order has None as its slots and
+    Local row i's slots are those of ``_slot_orders``.  Returns (rows,
+    slots): ``rows`` the ``NodeRows``, whose ``data`` is allocated but not
+    written (``NodeRows.write`` fills it); ``slots[i][e]`` (int32) element
+    e's slot in row i, or None for a row in element order, which takes
     ``indt.T.ravel()``, the connectivity itself, as its ``indices`` (row 0
     of the grid).
     """
@@ -140,7 +139,7 @@ def node_rows(index: IndexArrays):
             indices[i] = np.take(indt.T, order, axis=0).reshape(-1)
             slots[i] = np.empty(n_e, dtype=np.int32)
             slots[i][order] = elements
-    return indptr, tuple(indices), slots
+    return NodeRows(indptr, tuple(indices), np.empty((3, n_e, 3))), slots
 
 
 @dataclass(frozen=True)
@@ -159,6 +158,35 @@ class NodeRows:
     indptr: npt.NDArray[np.int32]
     indices: tuple[npt.NDArray[np.int32], ...]
     data: npt.NDArray[np.float64]
+
+    def write(self, slots: list, blk: slice, k: np.ndarray) -> None:
+        """Write the element matrices k, (3, 3, B), of elements ``blk`` into their slots.
+
+        ``slots`` is the second result of ``node_rows``.  Column by column:
+        one write per entry (i, j).
+        """
+        for i, where in enumerate(slots):
+            where = blk if where is None else where[blk].astype(np.intp)  # numpy's index type
+            for j in range(3):
+                self.data[i, where, j] = k[i, j]
+
+    def read(self, index: IndexArrays) -> npt.NDArray[np.float64]:
+        """The (3, 3, n_e) element matrices in element order, a new read-only array.
+
+        Each row's counting sort (``_slot_orders`` over ``index``, the
+        index the rows were laid out from) gives the element of each slot
+        again, and no column array is made.  It is the transposed view of
+        a C-contiguous (3, n_e, 3) array.
+        """
+        data = self.data
+        out = np.empty_like(data)
+        for i, _, order in _slot_orders(index):
+            if order is None:
+                out[i] = data[i]
+            else:
+                out[i][order] = data[i]
+        out.setflags(write=False)
+        return out.transpose(0, 2, 1)
 
 
 def build_index_arrays(m: Mesh) -> IndexArrays:

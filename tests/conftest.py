@@ -1,7 +1,5 @@
 """Shared builders for the test suite."""
 
-import dataclasses
-
 import numpy as np
 
 from ebsolve import (
@@ -13,6 +11,7 @@ from ebsolve import (
     build_unit_square_mesh,
     constant_dirichlet,
 )
+from ebsolve.operators import NodeRows
 
 
 def make_problem(level, nu=0.0):
@@ -30,12 +29,16 @@ def diagonal_batch(diag, load):
     Lets solver behavior be checked against hand-computable linear algebra
     without any mesh in the way.
     """
-    A = np.diag(np.asarray(diag, dtype=np.float64)).reshape(3, 3, 1)
-    indt = np.array([[0], [1], [2]], dtype=np.int64)
-    batch = ElementBatch.from_matrices(A_e=A, areas=np.array([0.5]), nu=0.0,
-                                       index=IndexArrays(indt, 3))
-    # node i is element 0's node i, so the assembled load is ``load`` itself
-    return dataclasses.replace(batch, b=np.array(load, dtype=np.float64))
+    diag = np.asarray(diag, dtype=np.float64)
+    # node i is element 0's node i: local row i's one slot is node i's, its
+    # columns nodes 0, 1, 2 and its entries row i of diag(diag)
+    rows = NodeRows(indptr=np.array([[0, 3, 3, 3], [0, 0, 3, 3], [0, 0, 0, 3]], dtype=np.int32),
+                    indices=(np.array([0, 1, 2], dtype=np.int32),) * 3,
+                    data=np.diag(diag).reshape(3, 1, 3))
+    area = 0.5
+    # the assembled load is ``load`` itself; beta is max area*tr(A_e)/3
+    return ElementBatch(rows, np.array([area]), 0.0, IndexArrays(np.array([[0], [1], [2]]), 3),
+                        np.array(load, dtype=np.float64), area * diag.sum() / 3.0)
 
 
 def stacked_signed_areas(nodes, elements):

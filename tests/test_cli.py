@@ -165,6 +165,23 @@ def test_main_rejects_nonfinite_numerics(capsys):
     assert "--nu" in err[0] and "--nu" in err[1] and "--tol" in err[2]
 
 
+def test_main_rejects_an_out_dir_that_cannot_be_a_directory(monkeypatch, tmp_path, capsys):
+    # refused before any mesh is built, not after the whole solve
+    import ebsolve.cli as cli
+
+    def no_mesh(level):
+        raise AssertionError(f"a level-{level} mesh was built")
+
+    monkeypatch.setattr(cli, "build_unit_square_mesh", no_mesh)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for path in (taken, taken / "sub"):
+        assert main(["--level", "3", "--solver", "cheb3", "--out-dir", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out-dir") and str(path) in err
+    assert taken.read_text() == ""
+
+
 def test_run_experiment_validation_message():
     with pytest.raises(ValueError, match="cheb3"):
         run_experiment(ExperimentConfig(level=1))

@@ -10,15 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import perturbed_mesh, shuffled, stacked_signed_areas
+from conftest import perturbed_mesh, shuffled
 
 from ebsolve import elements, operators
 from ebsolve.operators import MAX_THREADS, NodeRows, node_rows
 from ebsolve import (
-    ElementBatch,
     Mesh,
     build_element_batch,
-    build_index_arrays,
     build_unit_square_mesh,
     local_mass_batch,
     local_stiffness_batch,
@@ -110,26 +108,43 @@ def test_degenerate_triangle_rejected():
 
 def test_batch_validation():
     m = build_unit_square_mesh(1)
-    K = local_stiffness_batch(m)
-    areas = stacked_signed_areas(m.nodes, m.elements)
-    idx = build_index_arrays(m)
+    batch = build_element_batch(m)
     for nu in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="nu"):
-            ElementBatch.from_matrices(A_e=K, areas=areas, nu=nu, index=idx)
+            dataclasses.replace(batch, nu=nu)
         with pytest.raises(ValueError, match="nu"):
             build_element_batch(m, nu=nu)
-    with pytest.raises(ValueError):
-        ElementBatch.from_matrices(A_e=K[:, :, :3], areas=areas, nu=0.0, index=idx)
-    with pytest.raises(ValueError):
-        ElementBatch.from_matrices(A_e=K, areas=areas[:3], nu=0.0, index=idx)
-    # the stored fields are checked too: the node rows' sizes and b's length
-    batch = ElementBatch.from_matrices(A_e=K, areas=areas, nu=0.0, index=idx)
+    # every stored field is checked against the index: the node rows' sizes,
+    # the areas' and b's lengths
     rows = batch.rows
+    with pytest.raises(ValueError, match="rows must hold"):
+        dataclasses.replace(batch, rows=NodeRows(rows.indptr, rows.indices,
+                                                 rows.data[:, :3].copy()))
     with pytest.raises(ValueError, match="rows must hold"):
         dataclasses.replace(batch, rows=NodeRows(rows.indptr, tuple(c[:9] for c in rows.indices),
                                                  rows.data[:, :3].copy()))
+    with pytest.raises(ValueError, match="rows must hold"):
+        dataclasses.replace(batch, rows=NodeRows(rows.indptr[:, :-1], rows.indices, rows.data))
+    with pytest.raises(ValueError, match="areas must have shape"):
+        dataclasses.replace(batch, areas=batch.areas[:3])
     with pytest.raises(ValueError, match="b must have shape"):
         dataclasses.replace(batch, b=batch.b[:3])
+    # the same fields, unchanged, make a valid batch
+    assert dataclasses.replace(batch, nu=0.0).rows is rows
+
+
+def test_stored_batch_arrays_are_read_only():
+    # a write through the batch would change every later residual
+    m = shuffled(build_unit_square_mesh(3), 1, 5)
+    batch = build_element_batch(m, nu=1.0)
+    rows = batch.rows
+    stored = {"rows.data": rows.data, "rows.indptr": rows.indptr, "areas": batch.areas,
+              "b": batch.b}
+    stored.update({f"rows.indices[{i}]": cols for i, cols in enumerate(rows.indices)})
+    for name, array in stored.items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @pytest.mark.parametrize("swaps", [0, -1])
@@ -167,19 +182,13 @@ def test_batch_layout_keeps_only_A_e(nu):
     # slot k of local row i, whose columns are e's nodes
     rows = batch.rows
     assert rows.data.shape == (3, m.n_elements, 3) and rows.data.flags.c_contiguous
-    for i, slots in enumerate(node_rows(batch.index)[2]):
+    for i, slots in enumerate(node_rows(batch.index)[1]):
         order = np.arange(m.n_elements) if slots is None else np.argsort(slots)
         assert rows.data[i].tobytes() == np.ascontiguousarray((K + nu * M)[i].T[order]).tobytes()
         npt.assert_array_equal(rows.indices[i].reshape(-1, 3), m.elements[order])
     # beta: the largest area * tr(A_e) / 3
     tr = np.einsum("iie->e", batch.A_e) * batch.areas
     assert batch.beta == tr.max() / 3.0
-    # laid out again from the element-order matrices: the same batch, bitwise
-    again = ElementBatch.from_matrices(batch.A_e, batch.areas, nu, batch.index)
-    assert again.rows.data.tobytes() == rows.data.tobytes()
-    assert again.rows.indptr.tobytes() == rows.indptr.tobytes()
-    assert [c.tobytes() for c in again.rows.indices] == [c.tobytes() for c in rows.indices]
-    assert again.b.tobytes() == batch.b.tobytes() and again.beta == batch.beta
     # K_e, M_e and the local loads are not held beside the store, and no
     # mesh is kept to rebuild them
     stored = [name for name, value in vars(batch).items()

@@ -28,6 +28,7 @@ from ebsolve import (
     build_index_arrays,
     build_unit_square_mesh,
     constant_dirichlet,
+    elements,
     mask_dirichlet,
     operators,
     residual,
@@ -79,15 +80,17 @@ def test_batch_load_is_read_only_and_bitwise_assemble_rhs(size):
     for m in meshes:
         with mock.patch.object(operators, "SCATTER_CHUNK", size):
             batch = build_element_batch(m, nu=1.0)
-            # a load laid out anew from areas that vary far more than the mesh's
-            loads = ElementBatch.from_matrices(batch.A_e, rng.uniform(0.5, 2.0, m.n_elements),
-                                               batch.nu, batch.index)
-        for case in (batch, loads):
-            b = assemble_rhs(case.b_e, case.index.indt, m.n_nodes)
-            assert case.b.tobytes() == b.tobytes()
-            assert not case.b.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                case.b[0] = 1.0
+            # the batch's load summation fed with areas that vary far more
+            # than the mesh's
+            areas = rng.uniform(0.5, 2.0, m.n_elements)
+            b_e = np.broadcast_to(areas / 3.0, (3, m.n_elements))
+            varied = operators.scatter(batch.index, b_e)
+        b = assemble_rhs(batch.b_e, batch.index.indt, m.n_nodes)
+        assert batch.b.tobytes() == b.tobytes()
+        assert varied.tobytes() == assemble_rhs(b_e, batch.index.indt, m.n_nodes).tobytes()
+        assert not batch.b.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            batch.b[0] = 1.0
 
 
 def test_residual_at_zero_is_rhs():
@@ -232,8 +235,9 @@ def test_index_arrays():
     # ascending, and slots[i] names each element's slot, on the grid and
     # with the elements shuffled
     for case in (idx, build_index_arrays(shuffled(m, 4, -1))):
-        indptr, indices, all_slots = operators.node_rows(case)
-        for i, row in enumerate(read_node_rows(case, indptr, indices)):
+        rows, all_slots = operators.node_rows(case)
+        assert rows.data.shape == (3, case.indt.shape[1], 3) and rows.data.flags.c_contiguous
+        for i, row in enumerate(read_node_rows(case, rows.indptr, rows.indices)):
             for n, elements in enumerate(row):
                 npt.assert_array_equal(elements, np.flatnonzero(case.indt[i] == n))
             slots = all_slots[i]
@@ -269,7 +273,8 @@ def test_connectivity_is_held_once_as_int32():
         npt.assert_array_equal(columns, m.elements.ravel())
         # a local row in element order takes the connectivity as its
         # columns; the others hold columns of their own
-        _, indices, slots = operators.node_rows(idx)
+        rows, slots = operators.node_rows(idx)
+        indices = rows.indices
         for i in range(3):
             ordered = bool(np.all(np.diff(idx.indt[i]) >= 0))
             assert np.shares_memory(indices[i], m.elements) == ordered
@@ -317,16 +322,66 @@ def test_index_arrays_validation():
     with pytest.raises(ValueError):  # node 2 is not below the node count
         IndexArrays(indt, 2)
     # nodes that no element references get empty rows
-    indptr, indices, slots = operators.node_rows(IndexArrays(indt, 5))
-    npt.assert_array_equal(indptr, [[0, 3, 3, 3, 3, 3], [0, 0, 3, 3, 3, 3],
-                                    [0, 0, 0, 3, 3, 3]])
-    for cols in indices:
+    rows, slots = operators.node_rows(IndexArrays(indt, 5))
+    npt.assert_array_equal(rows.indptr, [[0, 3, 3, 3, 3, 3], [0, 0, 3, 3, 3, 3],
+                                         [0, 0, 0, 3, 3, 3]])
+    for cols in rows.indices:
         npt.assert_array_equal(cols, [0, 1, 2])
     assert slots == [None] * 3
+    assert rows.data.shape == (3, 1, 3)
     # no nodes, no slots
-    indptr, indices, _ = operators.node_rows(IndexArrays(np.empty((3, 0), dtype=np.int32), 0))
-    npt.assert_array_equal(indptr, [[0], [0], [0]])
-    assert [cols.size for cols in indices] == [0, 0, 0]
+    rows, _ = operators.node_rows(IndexArrays(np.empty((3, 0), dtype=np.int32), 0))
+    npt.assert_array_equal(rows.indptr, [[0], [0], [0]])
+    assert [cols.size for cols in rows.indices] == [0, 0, 0]
+    assert rows.data.shape == (3, 0, 3)
+
+
+def one_element_mesh():
+    return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]),
+                np.array([0, 1, 2]))
+
+
+# the grid's row 0 is in element order, the shuffled grid's rows are all
+# permuted, and a single element's rows are all in order
+NODE_ROW_MESHES = {
+    "grid": (lambda: build_unit_square_mesh(3), [True, False, False]),
+    "shuffled": (lambda: shuffled(build_unit_square_mesh(3), 8, -1), [False] * 3),
+    "one-element": (one_element_mesh, [True] * 3),
+}
+
+
+@pytest.mark.parametrize("case", NODE_ROW_MESHES)
+def test_node_rows_read_back_and_apply_what_they_were_written(case, monkeypatch):
+    # non-symmetric matrices: a row written or read as a column shows
+    make, in_order = NODE_ROW_MESHES[case]
+    m = make()
+    idx = build_index_arrays(m)
+    rng = np.random.default_rng(11)
+    A_e = rng.standard_normal((3, 3, m.n_elements))
+    # written block by block, as the batch pass writes
+    monkeypatch.setattr(elements, "GATHER_BLOCK", 7)
+    rows, slots = operators.node_rows(idx)
+    for lo in range(0, m.n_elements, elements.GATHER_BLOCK):
+        blk = slice(lo, lo + elements.GATHER_BLOCK)
+        rows.write(slots, blk, A_e[:, :, blk])
+    assert [w is None for w in slots] == in_order
+    back = rows.read(idx)
+    assert back.shape == A_e.shape and not back.flags.writeable
+    assert back.tobytes() == A_e.tobytes()
+    # slot k of row i holds row i of its element's matrix, at that
+    # element's nodes
+    for i in range(3):
+        order = np.arange(m.n_elements) if slots[i] is None else np.argsort(slots[i])
+        assert rows.data[i].tobytes() == np.ascontiguousarray(A_e[i].T[order]).tobytes()
+        npt.assert_array_equal(rows.indices[i].reshape(-1, 3), m.elements[order])
+    # and the residual over them is that of the assembled matrix
+    b = rng.standard_normal(m.n_nodes)
+    batch = ElementBatch(rows, np.ones(m.n_elements), 0.0, idx, b, 0.0)
+    A = assemble_sparse(A_e, idx.indt, m.n_nodes)
+    for _ in range(3):
+        x = rng.standard_normal(m.n_nodes)
+        r_ref = b - A @ x
+        assert np.linalg.norm(residual(batch, x) - r_ref) <= 1e-13 * np.linalg.norm(r_ref)
 
 
 def test_non_integer_indt_is_rejected():

@@ -7,6 +7,8 @@ renamed attribute used only there would show up as failed samples.  These
 tests pin that surface here.
 """
 
+import ast
+import dataclasses
 import importlib
 import re
 import sys
@@ -92,3 +94,56 @@ def test_readme_library_use_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     ratio = float(capsys.readouterr().out)
     assert 0.0 < ratio < 1e-3
+
+
+PACKAGE_MODULES = sorted(p.stem for p in (ROOT / "src" / "ebsolve").glob("*.py")
+                         if not p.stem.startswith("_"))
+# ``module.name`` or ``ElementBatch.name``/``batch.name`` inside a backticked
+# span, not preceded by another dotted part (``ebsolve.cli.x`` is skipped)
+QUALIFIED = re.compile(r"(?<![\w.])(\w+)\.([A-Za-z_]\w*)")
+
+
+def cited_names(text):
+    """(owner, name) for each qualified name in ``text``'s backticked spans.
+
+    Fenced code blocks are skipped: their ``mesh`` and ``batch`` are variables.
+    """
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    for span in re.findall(r"`([^`]+)`", text):
+        for owner, name in QUALIFIED.findall(span):
+            if owner in PACKAGE_MODULES or owner in ("ElementBatch", "batch"):
+                yield owner, name
+
+
+def docstrings(path):
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            doc = ast.get_docstring(node)
+            if doc:
+                yield doc
+
+
+def test_every_qualified_name_the_docs_cite_resolves():
+    # a deleted or moved attribute must not leave its name in README or in a
+    # docstring; ``mesh.py`` names a file, not an attribute
+    batch_names = {f.name for f in dataclasses.fields(ebsolve.ElementBatch)}
+    sources = {"README.md": [(ROOT / "README.md").read_text()]}
+    for path in sorted((ROOT / "src" / "ebsolve").glob("*.py")):
+        sources[path.name] = list(docstrings(path))
+    stale = []
+    for source, texts in sources.items():
+        for text in texts:
+            for owner, name in cited_names(text):
+                if owner in PACKAGE_MODULES:
+                    found = name == "py" or hasattr(
+                        importlib.import_module(f"ebsolve.{owner}"), name)
+                else:
+                    found = name in batch_names or hasattr(ebsolve.ElementBatch, name)
+                if not found:
+                    stale.append(f"{source}: {owner}.{name}")
+    assert stale == [], "\n".join(stale)
+    # the scan sees both kinds of source
+    assert ("operators", "NodeRows") in set(cited_names(sources["README.md"][0]))
+    assert any(("operators", "MAX_THREADS") in set(cited_names(doc))
+               for doc in sources["elements.py"])
