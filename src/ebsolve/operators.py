@@ -274,10 +274,6 @@ def assemble_rhs(b_e: np.ndarray, indt: np.ndarray,
                        minlength=node_count(indt, n_nodes))
 
 
-class NonFiniteError(ValueError):
-    """``residual`` was given an x with a NaN or an infinite entry."""
-
-
 @cache
 def _pool(workers: int) -> ThreadPoolExecutor:
     """One long-lived pool per size, shared by every residual call and batch build."""
@@ -348,18 +344,17 @@ def residual(batch: ElementBatch, x: np.ndarray,
     self-contained and in fixed order, so the result is bitwise independent
     of the thread count.
 
-    An ``x`` with a NaN or an infinite entry raises ``NonFiniteError``, a
-    ``ValueError``.  Without ``out`` the result is a new vector; with it,
-    ``out`` (a writeable C-contiguous float64 vector of length n_nodes that
-    does not overlap ``x``) is overwritten and returned, and the result is
-    the same bit for bit.
+    ``x``'s values are not checked: a NaN or an infinite entry gives
+    non-finite entries in the rows of every node that shares an element
+    with it, as ``b - A @ x`` does.  Without ``out`` the result is a new
+    vector; with it, ``out`` (a writeable C-contiguous float64 vector of
+    length n_nodes that does not overlap ``x``) is overwritten and
+    returned, and the result is the same bit for bit.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     n_n = batch.index.n_nodes
     if x.shape != (n_n,):
         raise ValueError(f"x must be a flat global vector of length {n_n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError("x contains non-finite entries")
     if out is None:
         out = np.empty(n_n)
     elif not (isinstance(out, np.ndarray) and out.dtype == np.float64

@@ -2,9 +2,9 @@
 
 All three methods share one loop: at one site per step, the start included,
 compute the residual, zero it at the constrained nodes, record norms and
-test for a stop; then advance the iterate.  The residual's own input check
-is the step's one test for a non-finite iterate.  They differ only in the step
-they take from the current residual:
+test for a stop; then advance the iterate.  A non-finite residual norm is
+the one divergence test, and x0 is checked for finiteness once, before the
+loop.  They differ only in the step they take from the current residual:
 
 * richardson      x += omega * r                  with omega = 2/(lam1+lam2)
 * chebyshev2      x += (1/alpha_{k mod N}) * r    cycling through the N roots
@@ -35,7 +35,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .elements import ElementBatch
-from .operators import DirichletData, NonFiniteError, mask_dirichlet, residual
+from .operators import DirichletData, mask_dirichlet, residual
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,9 @@ class ConvergenceHistory:
     number of steps, since the residual after the final update is recorded
     too).  error_norms tracks ||x^k - reference||_2 when a reference
     solution, of x0's shape, was supplied.  stop_reason says why the loop ended:
-    "diverged" when the iterate or its residual norm turned non-finite
-    (at step 0 too), "tol" when the last residual norm met the relative
+    "diverged" when the last residual norm is not finite (at step 0 too;
+    it is inf after an overflow and may be nan once the iterate itself is
+    not finite), "tol" when the last residual norm met the relative
     tolerance, otherwise "budget" (the step count ran out).
     """
 
@@ -127,15 +128,28 @@ def chebyshev_scaling_factor(bounds: SpectralBounds, k: int) -> float:
 
 def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback):
     """Shared solver loop; ``advance(k, x, r)`` updates x in place and may
-    overwrite r, which the next residual call refills."""
+    overwrite r, which the next residual call refills.
+
+    A non-finite residual norm is the one divergence test: a non-finite
+    entry at a free node makes its masked residual non-finite (every node
+    an element references has a_ii > 0), and one at a constrained or
+    unreferenced node moves by ``step * 0``, so only with a non-finite step,
+    which makes every free entry non-finite too.  A constrained entry alone
+    can leave the norm finite (a corner whose one element holds boundary
+    nodes only), so ``x0`` is checked as a whole, here.
+    """
     if iters < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iters}")
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if reference is not None and np.shape(reference) != np.shape(x0):
         # a broadcasting reference would make every error norm a norm of x
         raise ValueError(f"reference must have the shape of x0, {np.shape(x0)}, "
                          f"got {np.shape(reference)}")
     dirichlet.check_nodes(batch.index.n_nodes)
     x = np.array(x0, dtype=np.float64, copy=True)
+    if not np.isfinite(x).all():
+        raise ValueError("x0 contains non-finite entries")
     r = np.empty(batch.index.n_nodes)
     norms = []
     errors = None
@@ -144,24 +158,13 @@ def _iterate(batch, dirichlet, x0, iters, advance, *, tol, reference, callback):
     stop_reason = "budget"
     t0 = time.perf_counter()
 
-    # a diverging iterate overflows before it turns non-finite; the tests
-    # below record that as divergence, so numpy's warnings would only repeat it
+    # a diverging iterate overflows before it turns non-finite; the norm test
+    # below records it as divergence, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iters + 1):
             if k > 0:
                 advance(k - 1, x, r)
-            try:
-                r = mask_dirichlet(residual(batch, x, out=r), dirichlet)
-            except NonFiniteError:
-                # residual's input check is the step's one test of the
-                # iterate; a non-finite x0 is the caller's error
-                if k == 0:
-                    raise
-                norms.append(float("inf"))
-                if errors is not None:
-                    errors.append(float("inf"))
-                stop_reason = "diverged"
-                break
+            r = mask_dirichlet(residual(batch, x, out=r), dirichlet)
             norms.append(float(np.linalg.norm(r)))
             if errors is not None:
                 np.subtract(x, reference, out=diff)

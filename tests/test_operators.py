@@ -582,10 +582,57 @@ def test_residual_input_validation():
     m, batch, _, _ = make_problem(1)
     with pytest.raises(ValueError):
         residual(batch, np.zeros((m.n_nodes, 1)))
-    bad = np.zeros(m.n_nodes)
-    bad[3] = np.nan
-    with pytest.raises(ValueError):
-        residual(batch, bad)
+
+
+NON_FINITE_MESHES = {
+    "grid": lambda: build_unit_square_mesh(4),
+    "perturbed": lambda: perturbed_mesh(4, 0.1, 3),
+    "shuffled": lambda: shuffled(build_unit_square_mesh(4), 1, -1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_MESHES))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_x_spreads_to_the_rows_of_its_element_neighbours(kind, value):
+    # residual does not check x's values: like b - A @ x, it gives a
+    # non-finite entry in every row that reads the bad entry, and every
+    # other row bitwise as it is with a finite entry there
+    m = NON_FINITE_MESHES[kind]()
+    indt = m.elements.T
+    for nu in (0.0, 3.0):
+        batch = build_element_batch(m, nu=nu)
+        x = np.random.default_rng(5).standard_normal(m.n_nodes)
+        clean = residual(batch, x)
+        # an interior node and a boundary node
+        for node in (m.n_nodes // 2, m.boundary_nodes[1]):
+            near = np.zeros(m.n_nodes, dtype=bool)
+            near[indt[:, (indt == node).any(axis=0)]] = True
+            bad = x.copy()
+            bad[node] = value
+            r = residual(batch, bad)
+            assert not np.isfinite(r[near]).any()
+            assert r[~near].tobytes() == clean[~near].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(NON_FINITE_MESHES)), nu=st.sampled_from([0.0, 3.0]),
+       value=st.sampled_from([np.nan, np.inf, -np.inf]), pick=st.integers(0, 2**31),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_non_finite_entry_at_a_free_node_makes_the_masked_norm_non_finite(
+        kind, nu, value, pick, seed):
+    # the invariant behind the solvers' one divergence test: every node an
+    # element references has a_ii > 0, so its own masked residual entry is
+    # non-finite
+    m = NON_FINITE_MESHES[kind]()
+    batch = build_element_batch(m, nu=nu)
+    d = constant_dirichlet(m, 1.0)
+    free = np.flatnonzero(d.free_mask(m.n_nodes))
+    node = free[pick % free.size]
+    x = np.random.default_rng(seed).standard_normal(m.n_nodes)
+    x[node] = value
+    r = mask_dirichlet(residual(batch, x), d)
+    assert not np.isfinite(r[node])
+    assert not np.isfinite(np.linalg.norm(r))
 
 
 def test_residual_rejects_wrong_length():

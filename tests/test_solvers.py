@@ -346,7 +346,11 @@ def test_overflowing_start_stops_at_step_0():
             npt.assert_array_equal(x, x0)
 
 
-def test_one_residual_call_per_recorded_norm(monkeypatch):
+SOLVERS = ((richardson, ()), (chebyshev2, (4,)), (chebyshev3, ()))
+
+
+def count_residual_calls(monkeypatch):
+    """Patch the solvers' ``residual`` to record one entry per call; returns the list."""
     calls = []
     original = ebsolve.solvers.residual
 
@@ -355,14 +359,18 @@ def test_one_residual_call_per_recorded_norm(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ebsolve.solvers, "residual", counted)
+    return calls
+
+
+def test_one_residual_call_per_recorded_norm(monkeypatch):
+    calls = count_residual_calls(monkeypatch)
     m, batch, d, _ = make_problem(3)
     ones = np.ones(m.n_nodes)
     overflowing = np.where(np.isin(np.arange(m.n_nodes), d.nd), 1.0, 1e200)
     good = model_eigen_bounds(9)
-    # an infinite step size makes the first iterate non-finite
+    # an infinite step size makes the first iterate non-finite; the norm
+    # test finds it, so that case too calls residual once per recorded norm
     infinite_step = SpectralBounds(0.0, 1e-320)
-    # residual's input check is what finds a non-finite iterate, so that
-    # case calls it once for its recorded inf as well
     cases = [  # x0, bounds, iters, tol, stop reason
         (ones, good, 20, None, "budget"),
         (ones, good, 500, 1e-6, "tol"),
@@ -378,7 +386,7 @@ def test_one_residual_call_per_recorded_norm(monkeypatch):
             assert len(calls) == len(hist.residual_norms)
 
 
-def test_one_finite_check_of_the_iterate_per_step(monkeypatch):
+def test_one_finite_check_of_x0_and_none_per_step(monkeypatch):
     m, batch, d, _ = make_problem(3)
     u = reference_solution(batch, d)
     checked = []
@@ -397,12 +405,52 @@ def test_one_finite_check_of_the_iterate_per_step(monkeypatch):
             checked.clear()
             _, hist = solver(batch, d, ones, bounds, *extra, 20, reference=u)
             assert hist.stop_reason == reason
-            assert len(checked) == len(hist.residual_norms)
-    # a non-finite start is still the caller's error
-    bad = ones.copy()
-    bad[40] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        richardson(batch, d, bad, model_eigen_bounds(9), 5)
+            assert len(checked) == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["free", "constrained"])
+def test_a_non_finite_start_raises_before_any_residual(monkeypatch, value, where):
+    calls = count_residual_calls(monkeypatch)
+    m, batch, d, _ = make_problem(3)
+    x0 = np.ones(m.n_nodes)
+    # node 40 is the level-3 grid's centre; node 8 a corner whose one
+    # element holds boundary nodes only, which the norm test would miss
+    node = 40 if where == "free" else 8
+    assert (node in d.nd) == (where == "constrained")
+    x0[node] = value
+    norm = np.linalg.norm(mask_dirichlet(residual(batch, x0), d))
+    assert np.isfinite(norm) == (where == "constrained")
+    for solver, extra in SOLVERS:
+        with pytest.raises(ValueError, match="x0"):
+            solver(batch, d, x0, model_eigen_bounds(9), *extra, 5)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_a_tol_that_is_not_finite_and_positive_is_rejected(monkeypatch, tol):
+    calls = count_residual_calls(monkeypatch)
+    m, batch, d, _ = make_problem(3)
+    for solver, extra in SOLVERS:
+        with pytest.raises(ValueError, match="tol"):
+            solver(batch, d, np.ones(m.n_nodes), model_eigen_bounds(9), *extra, 50,
+                   tol=tol)
+    assert calls == []
+
+
+def test_an_infinite_step_stops_as_diverged_at_step_1():
+    # the step is inf, so the first iterate is non-finite everywhere; the
+    # callback still sees it, once per recorded norm
+    m, batch, d, _ = make_problem(3)
+    for solver, extra in SOLVERS:
+        ks = []
+        _, hist = solver(batch, d, np.ones(m.n_nodes), SpectralBounds(0.0, 1e-320),
+                         *extra, 20, callback=lambda k, x, r: ks.append(k))
+        assert hist.stop_reason == "diverged"
+        assert ks == [0, 1]
+        assert len(hist.residual_norms) == 2
+        assert np.isfinite(hist.residual_norms[0])
+        assert not np.isfinite(hist.residual_norms[1])
 
 
 def test_a_read_only_broadcast_start_gives_the_solve_of_a_full_one():
