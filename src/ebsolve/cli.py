@@ -22,7 +22,7 @@ import numpy as np
 from .elements import build_element_batch
 from .mesh import MAX_LEVEL, Mesh, build_unit_square_mesh
 from .operators import MAX_THREADS, constant_dirichlet
-from .reference import MAX_DIRECT_UNKNOWNS, assemble_sparse, solve_reference
+from .reference import MAX_DIRECT_UNKNOWNS, solve_reference
 from .solvers import ConvergenceHistory, chebyshev2, chebyshev3, richardson
 from .spectrum import operator_bounds
 
@@ -172,9 +172,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         t0 = time.perf_counter()
         # the assembled matrix is handed over, not kept: solve_reference frees
         # it before it factorizes, and nothing after the reference reads it
-        reference = solve_reference(
-            assemble_sparse(batch.A_e, batch.index.indt, n_nodes=batch.index.n_nodes),
-            batch.b, dirichlet)
+        reference = solve_reference(batch.rows.assemble(batch.index.n_nodes),
+                                    batch.b, dirichlet)
         ref_time = time.perf_counter() - t0
 
     # every solver copies x0 into its own iterate, so one read-only

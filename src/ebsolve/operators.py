@@ -1,8 +1,8 @@
 """The element operator: its index layout, the matrix-free residual and
 Dirichlet handling.
 
-The global system matrix is never formed here.  A residual is computed
-from the element matrices alone,
+The iterative solvers never form the global system matrix.  A residual
+is computed from the element matrices alone,
 
     r = b - sum_e scatter( A_e * x[indt] ),
 
@@ -13,16 +13,17 @@ over the nodes, whose row n holds one slot per element e with
 ``indt[i, e] == n``, in ascending e, and each slot the three entries
 ``A_e[i, :, e]`` at element e's nodes.  Only this module knows which slot
 each element takes: ``node_rows`` sorts the slots, ``NodeRows.write``
-writes element matrices into them and ``NodeRows.read`` reads A_e back in
-element order; a row already in element order takes the connectivity
-itself as its columns.  The three matrices sum to the system matrix, so
-three ``csr_matvec`` passes into one vector and one subtraction from b
-give the residual: the gather, the local 3x3 product and the scatter in
-one pass, with no (3, n_e) array of element values.  Node n sums its element products in ascending position in
-``indt.ravel()``.  ``residual`` is the only implementation of this
-operator; ``scatter``, which sums (3, n_e) local values at set-up, is
-``np.add.at`` in the same order.  Global vectors are 1-D float64 of length
-n_n.
+writes element matrices into them, ``NodeRows.read`` reads A_e back in
+element order and ``NodeRows.assemble`` sums them into the CLI's direct
+oracle; a row already in element order takes the connectivity itself as
+its columns.  The three matrices sum to the system matrix, so three
+``csr_matvec`` passes into one vector and one subtraction from b give the
+residual: the gather, the local 3x3 product and the scatter in one pass,
+with no (3, n_e) array of element values.  Node n sums its element
+products in ascending position in ``indt.ravel()``.  ``residual`` is the
+only implementation of this operator; ``scatter``, which sums (3, n_e)
+local values at set-up, is ``np.add.at`` in the same order.  Global
+vectors are 1-D float64 of length n_n.
 
 A ``residual`` call without ``out`` allocates its result.  A solve
 allocates one vector and passes it as ``out`` to every step, which then
@@ -42,6 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.typing as npt
+import scipy.sparse
 from scipy.sparse._sparsetools import coo_tocsr, csr_matvec
 
 from .mesh import INDEX_MAX, Mesh, as_index_array
@@ -150,7 +152,8 @@ class NodeRows:
     Darve (2011): slot k of row i, element e, holds the three entries
     ``data[i, k] = A_e[i, :, e]`` at the columns ``indices[i][3k:3k+3]``,
     e's nodes, and node n's entries are ``indptr[i, n]`` to
-    ``indptr[i, n + 1]``.  The three matrices sum to the system matrix.
+    ``indptr[i, n + 1]``.  ``write`` fills the slots, ``read`` gives A_e
+    back and ``assemble`` sums the three matrices into the system matrix.
     ``data`` is C-contiguous (3, n_e, 3) float64 and the index arrays int32,
     the arrays ``csr_matvec`` reads as they are.
     """
@@ -169,6 +172,21 @@ class NodeRows:
             where = blk if where is None else where[blk].astype(np.intp)  # numpy's index type
             for j in range(3):
                 self.data[i, where, j] = k[i, j]
+
+    def assemble(self, n_nodes: int) -> scipy.sparse.csr_matrix:
+        """The system matrix, canonical CSR without exact zeros.
+
+        The rows' matrices summed by scipy's ``+``, which drops exact zeros
+        but leaves columns unsorted: entry (n, c) is ``(s0 + s1) + s2``,
+        ``s_i`` row i's terms at (n, c) added in slot order.
+        """
+        def row(i):
+            return scipy.sparse.csr_matrix((self.data[i].reshape(-1), self.indices[i],
+                                            self.indptr[i]), shape=(n_nodes, n_nodes))
+
+        A = row(0) + row(1) + row(2)
+        A.sort_indices()
+        return A
 
     def read(self, index: IndexArrays) -> npt.NDArray[np.float64]:
         """The (3, 3, n_e) element matrices in element order, a new read-only array.

@@ -1,16 +1,18 @@
 """Assembled-matrix ground truth for verifying the matrix-free path.
 
 Everything here builds or factorizes an explicit sparse matrix and is kept
-out of the iterative solvers' path on purpose: it exists so tests, the
-CLI's ``direct`` solver and its ``--compare-direct`` error norms can check
-the element-by-element kernels against conventional assembly.  The direct
-solve is SuperLU on the reduced free-node system without its stored zeros,
-renumbered first by reverse Cuthill-McKee (Cuthill & McKee 1969) and then
-ordered by minimum degree on its symmetric pattern (``MMD_AT_PLUS_A``;
-George & Liu 1989), so that its fill and time do not depend on how the mesh
-numbers its nodes.  It is the only solve, and it factorizes beside one copy
-of the system: the assembled matrix and each slice of it are dropped once
-the next exists.  Its memory grows ~4x per level (1.9 GB at level 10), so
+out of the iterative solvers' path on purpose.  ``assemble_sparse``,
+assembly from element-order triplets, is the independent oracle the tests
+check the node-row kernels against; the CLI's ``direct`` solver and its
+``--compare-direct`` error norms solve the node rows' own sum
+(``operators.NodeRows``) instead.  The direct solve is SuperLU on the
+reduced free-node system without its stored zeros, renumbered first by
+reverse Cuthill-McKee (Cuthill & McKee 1969) and then ordered by minimum
+degree on its symmetric pattern (``MMD_AT_PLUS_A``; George & Liu 1989),
+so that its fill and time do not depend on how the mesh numbers its
+nodes.  It is the only solve, and it factorizes beside one copy of the
+system: the assembled matrix and each slice of it are dropped once the
+next exists.  Its memory grows ~4x per level (1.9 GB at level 10), so
 systems above ``MAX_DIRECT_UNKNOWNS`` free nodes, level 10's count, are
 refused.
 """

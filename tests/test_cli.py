@@ -410,7 +410,7 @@ def test_run_experiment_calls_through_module_attributes(monkeypatch, tmp_path):
         monkeypatch.setattr(module, name, wrapper)
 
     setup = ("build_unit_square_mesh", "build_element_batch", "constant_dirichlet",
-             "operator_bounds", "assemble_sparse", "solve_reference")
+             "operator_bounds", "solve_reference")
     solver_names = ("richardson", "chebyshev2", "chebyshev3")
     for name in setup + solver_names:
         counting(cli, name)
@@ -509,19 +509,35 @@ def test_mesh_is_kept_only_for_an_export(monkeypatch, tmp_path, export):
     assert alive == [export]
 
 
+def test_run_experiment_never_reads_the_element_matrices_back(monkeypatch):
+    # the direct oracle is the node rows' own sum: nothing on the run path
+    # rebuilds A_e in element order (batch.A_e, NodeRows.read)
+    from ebsolve.operators import NodeRows
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("NodeRows.read called on the run path")
+
+    monkeypatch.setattr(NodeRows, "read", refuse)
+    report = run_experiment(ExperimentConfig(level=4, solver="all", compare_direct=True))
+    assert list(report.runs) == ["richardson", "cheb2", "cheb3", "direct"]
+    assert all(report.runs[name].final_error is not None
+               for name in ("richardson", "cheb2", "cheb3"))
+
+
 def test_assembled_matrix_is_freed_before_the_factorization(monkeypatch):
-    # run_experiment hands the assembled matrix to solve_reference without
-    # keeping it, and solve_reference drops it, A[free] and the unpermuted
-    # Aff before SuperLU allocates its factors
+    # run_experiment hands the matrix the node rows assemble to
+    # solve_reference without keeping it, and solve_reference drops it,
+    # A[free] and the unpermuted Aff before SuperLU allocates its factors
     import gc
     import weakref
 
     import scipy.sparse.linalg
 
     import ebsolve.cli as cli
+    from ebsolve.operators import NodeRows
 
     assembled, alive = [], []
-    assemble, spsolve, solve = cli.assemble_sparse, scipy.sparse.linalg.spsolve, cli.richardson
+    assemble, spsolve, solve = NodeRows.assemble, scipy.sparse.linalg.spsolve, cli.richardson
 
     def recording_assemble(*args, **kwargs):
         A = assemble(*args, **kwargs)
@@ -535,7 +551,7 @@ def test_assembled_matrix_is_freed_before_the_factorization(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cli, "assemble_sparse", recording_assemble)
+    monkeypatch.setattr(NodeRows, "assemble", recording_assemble)
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve", checking(spsolve, "spsolve"))
     monkeypatch.setattr(cli, "richardson", checking(solve, "solver"))
     run_experiment(ExperimentConfig(level=3, iters=4, solver="all", compare_direct=True))

@@ -384,6 +384,64 @@ def test_node_rows_read_back_and_apply_what_they_were_written(case, monkeypatch)
         assert np.linalg.norm(residual(batch, x) - r_ref) <= 1e-13 * np.linalg.norm(r_ref)
 
 
+def slot_order_sum(A_e, indt, n_nodes):
+    """The node rows' sum in its stated order, entry by entry, from element-order A_e.
+
+    Local row i's terms at (n, c) are added to 0 in ascending element
+    order, the order of its slots, the three rows' sums are added as
+    (s0 + s1) + s2, and exact zeros are dropped.  Returns the sorted keys
+    n * n_nodes + c of the entries and their values.
+    """
+    keys = indt[:, None, :].astype(np.int64) * n_nodes + indt[None, :, :]  # entry (i, j, e)
+    pattern = np.unique(keys)
+    sums = np.zeros((3, pattern.size))
+    for i in range(3):
+        # element-major: element e's three terms, then element e + 1's
+        np.add.at(sums[i], np.searchsorted(pattern, keys[i].T.ravel()), A_e[i].T.ravel())
+    total = (sums[0] + sums[1]) + sums[2]
+    return pattern[total != 0], total[total != 0]
+
+
+# node 3 belongs to no element
+TRAILING_NODE_MESH = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                          np.array([[0, 1, 2]]), np.array([0, 1, 2, 3]))
+ASSEMBLED_MESHES = {
+    **{f"grid-{level}": (lambda level=level: build_unit_square_mesh(level))
+       for level in range(1, 7)},
+    "shuffled": lambda: shuffled(build_unit_square_mesh(4), 5, -1),
+    "perturbed-4": lambda: perturbed_mesh(4, 0.1, 3),
+    "perturbed-5": lambda: perturbed_mesh(5, 0.1, 1),
+    "trailing-node": lambda: TRAILING_NODE_MESH,
+}
+
+
+@pytest.mark.parametrize("nu", [0.0, 3.0, 100.0])
+@pytest.mark.parametrize("case", ASSEMBLED_MESHES)
+def test_node_rows_assemble_the_system_matrix(case, nu):
+    m = ASSEMBLED_MESHES[case]()
+    n = m.n_nodes
+    batch = build_element_batch(m, nu=nu)
+    A = batch.rows.assemble(n)
+    assert isinstance(A, sp.csr_matrix) and A.shape == (n, n)
+    assert A.has_canonical_format and np.all(A.data != 0)
+    # bitwise the stated summation order, on every mesh
+    keys, values = slot_order_sum(batch.A_e, batch.index.indt, n)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    npt.assert_array_equal(rows * n + A.indices, keys)
+    assert A.data.tobytes() == values.tobytes()
+    # and the triplet assembly's pattern, with its values to rounding: that
+    # sum adds each entry's terms left to right in (i, j, e) order
+    R = assemble_sparse(batch.A_e, batch.index.indt, n)
+    R.sum_duplicates()
+    R.eliminate_zeros()
+    R.sort_indices()
+    npt.assert_array_equal(A.indptr, R.indptr)
+    npt.assert_array_equal(A.indices, R.indices)
+    assert np.abs(A.data - R.data).max() <= 1e-15 * np.abs(R.data).max()
+    if case == "trailing-node":
+        assert A.indptr[-1] == A.indptr[-2] and not (A.indices == n - 1).any()
+
+
 def test_non_integer_indt_is_rejected():
     with pytest.raises(ValueError, match="indt must hold integer"):
         IndexArrays([[0.0], [1.9], [2.0]], 3)

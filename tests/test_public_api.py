@@ -67,8 +67,11 @@ def test_every_workload_config_is_valid(perfbench):
 
 # Traced attributes the library no longer calls: the batch assembles the
 # load once (``ElementBatch.b``, inside the ``elements.batch`` span), so the
-# CLI's direct path has no ``assemble_rhs`` call for ``operators.rhs`` to time.
-RETIRED_TARGETS = {("ebsolve.cli", "assemble_rhs")}
+# CLI's direct path has no ``assemble_rhs`` call for ``operators.rhs`` to
+# time; and the run's direct oracle is the node rows' own sum
+# (``NodeRows.assemble``), so there is no ``assemble_sparse`` call for
+# ``reference.assemble`` to time either.
+RETIRED_TARGETS = {("ebsolve.cli", "assemble_rhs"), ("ebsolve.cli", "assemble_sparse")}
 
 
 def test_traced_attributes_exist(perfbench):

@@ -204,6 +204,20 @@ def test_solve_reference_keeps_the_callers_matrix_and_its_zeros(level, nu):
     npt.assert_allclose(u, with_zeros, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("nu", [0.0, 3.0])
+def test_direct_solve_of_the_node_row_sum_is_that_of_the_triplet_assembly(nu):
+    # the run's oracle (the node rows' sum) against the independent one
+    # (assemble_sparse over the element-order A_e)
+    m, batch, d, _ = make_problem(6, nu=nu)
+    u = solve_reference(batch.rows.assemble(m.n_nodes), batch.b, d)
+    u_ref = solve_reference(assemble_sparse(batch.A_e, batch.index.indt, m.n_nodes),
+                            batch.b, d)
+    if nu == 0:
+        assert u.tobytes() == u_ref.tobytes()
+    else:
+        assert np.linalg.norm(u - u_ref) <= 1e-14 * np.linalg.norm(u_ref)
+
+
 def test_solve_reference_factorizes_beside_one_matrix(monkeypatch):
     # A, A[free] and the unpermuted Aff are dropped before SuperLU allocates
     # its factors: the only sparse matrix solve_reference holds then is the
