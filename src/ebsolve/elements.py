@@ -60,7 +60,7 @@ class ElementBatch:
     batch from ``build_element_batch``, ``index.indt`` is a view of the
     mesh's connectivity.  The batch keeps no mesh:
     ``local_stiffness_batch(m)`` and ``local_mass_batch(m)`` give K_e and
-    M_e for the mesh it was built from.  ``threads`` (1 to
+    M_e for the mesh it was built from.  ``threads`` (an integer, 1 to
     ``MAX_THREADS``) is every residual's worker count.  The fields are
     what the batch stores, so ``dataclasses.replace(batch, threads=t)``
     keeps every array; ``rows``, ``b`` and ``beta`` do not follow replaced
@@ -177,13 +177,13 @@ def build_element_batch(m: Mesh, nu: float = 0.0, threads: int = 1) -> ElementBa
     long-lived pool the residual uses, the calling thread taking the first
     range, and the batch keeps the count for its residuals; the counting
     sorts of ``node_rows`` hold the GIL and run on the calling thread.
-    ``threads`` outside 1..``operators.MAX_THREADS`` raises ``ValueError``
-    before anything is allocated.  Each block writes only its own entries
-    of the stored arrays, so the batch is bitwise independent of
-    ``threads``.  A block that holds a degenerate element raises a
-    ``ValueError`` naming the element by global index; every range
-    finishes first, and the error raised is that of the lowest failing
-    block, the one the serial pass raises.
+    ``threads`` that is not an integer in 1..``operators.MAX_THREADS``
+    raises ``ValueError`` before anything is allocated.  Each block
+    writes only its own entries of the stored arrays, so the batch is
+    bitwise independent of ``threads``.  A block that holds a degenerate
+    element raises a ``ValueError`` naming the element by global index;
+    every range finishes first, and the error raised is that of the
+    lowest failing block, the one the serial pass raises.
     """
     if not (np.isfinite(nu) and nu >= 0):
         raise ValueError(f"nu must be finite and nonnegative, got {nu}")
@@ -211,8 +211,8 @@ def build_element_batch(m: Mesh, nu: float = 0.0, threads: int = 1) -> ElementBa
             areas[blk] = a
 
     # each range's temporaries (~3 MB a block) are freed when it returns,
-    # and the slots (16.8 MB at level 10) here, before the load is
-    # assembled beside the finished arrays
+    # and the slots (8.4 MB at level 10, the grid's row 1) here, before
+    # the load is assembled beside the finished arrays
     _split(run, len(traces), threads)
     slots = None
     return ElementBatch(rows, areas, float(nu), index,

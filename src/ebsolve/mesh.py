@@ -4,6 +4,10 @@ The generator subdivides (0,1)x(0,1) into an n-by-n grid of nodes and
 splits every cell into two triangles along the diagonal running from the
 lower-left to the upper-right corner.  Nodes are numbered row by row
 (y outer, x inner), so node ``iy*n + ix`` sits at ``(ix/(n-1), iy/(n-1))``.
+Each cell lists its upper triangle before its lower one, so that the
+first and the third node of the elements never decrease: local rows 0
+and 2 of the node-row layout are then in element order and take the
+connectivity itself as their columns (``operators.node_rows``).
 All coordinates are dyadic rationals for the level-based sizes, which keeps
 element areas exact.
 
@@ -99,11 +103,18 @@ class Mesh:
 def build_grid_mesh(n: int) -> Mesh:
     """Structured mesh with ``n`` nodes per side (n >= 2), any grid size.
 
-    Cells are visited row by row; each contributes its lower triangle
-    (ll, lr, ur) followed by its upper triangle (ll, ur, ul).  Nodes and
-    int32 connectivity are written straight into the layout ``Mesh``
-    stores, and the boundary is read off the grid indices; a grid whose
-    node count int32 cannot index is rejected before anything is allocated.
+    Cells are visited row by row; each contributes its upper triangle
+    (ll, ur, ul) followed by its lower triangle (ll, lr, ur), both
+    counterclockwise.  In that order the first nodes read c, c, c+1, c+1,
+    ... and the third nodes c+n, c+n+1, c+n+1, c+n+2, ...: neither ever
+    decreases, so local rows 0 and 2 of the node rows are in element
+    order and hold no columns of their own.  The middle nodes (ur, lr)
+    do decrease, and no order of the cells or rotation of the triples
+    keeps all three positions in order: ur follows ll one step round the
+    upper triangle but two round the lower.  Nodes and int32 connectivity
+    are written straight into the layout ``Mesh`` stores, and the
+    boundary is read off the grid indices; a grid whose node count int32
+    cannot index is rejected before anything is allocated.
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes per side, got n={n}")
@@ -120,7 +131,7 @@ def build_grid_mesh(n: int) -> Mesh:
     cells = elements.reshape(m, m, 2, 3)  # [iy, ix, triangle, corner]
     rows = np.arange(0, m * n, n, dtype=np.int32)  # ll of each row's first cell
     cols = np.arange(m, dtype=np.int32)
-    for t, corners in enumerate(((0, 1, n + 1), (0, n + 1, n))):
+    for t, corners in enumerate(((0, n + 1, n), (0, 1, n + 1))):
         for c, offset in enumerate(corners):
             np.add(rows[:, None], cols + offset, out=cells[:, :, t, c])
 

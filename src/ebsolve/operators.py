@@ -36,6 +36,7 @@ moves off its prescribed boundary values.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cache
@@ -127,8 +128,8 @@ def node_rows(index: IndexArrays) -> tuple[NodeRows, list]:
     slots): ``rows`` the ``NodeRows``, whose ``data`` is allocated but not
     written (``NodeRows.write`` fills it); ``slots[i][e]`` (int32) element
     e's slot in row i, or None for a row in element order, which takes
-    ``indt.T.ravel()``, the connectivity itself, as its ``indices`` (row 0
-    of the grid).
+    ``indt.T.ravel()``, the connectivity itself, as its ``indices`` (rows
+    0 and 2 of the grid).
     """
     indt, n_n = index.indt, index.n_nodes
     n_e = indt.shape[1]
@@ -299,7 +300,15 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 
 
 def check_threads(threads: int) -> None:
-    """Reject a thread count outside 1..MAX_THREADS."""
+    """Reject a thread count that is not an integer in 1..MAX_THREADS.
+
+    Anything ``operator.index`` refuses (2.5, 2.0, "2") raises here,
+    before a pool or a batch is built.
+    """
+    try:
+        operator.index(threads)
+    except TypeError:
+        raise ValueError(f"threads must be an integer, got {threads!r}") from None
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
 
@@ -308,7 +317,8 @@ def _split(fn, n: int, threads: int) -> None:
     """fn(lo, hi) on ``threads`` contiguous ranges covering 0..n.
 
     The first range runs on the calling thread, the others on the pool.
-    ``threads`` outside 1..MAX_THREADS raises before any pool is built.
+    A ``threads`` that ``check_threads`` rejects raises before any pool is
+    built.
     Every range finishes before ``_split`` returns or raises, so no range
     still writes into the caller's arrays, or holds a pool worker, after
     it; when ranges raise, the error of the lowest is raised.

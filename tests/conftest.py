@@ -105,8 +105,9 @@ def uniform_refine(m):
     The result is renumbered canonically, so that refining a structured
     mesh equals ``build_unit_square_mesh(level + 1)`` elementwise: nodes
     sorted lexicographically by (y, x), each triple rotated to start at its
-    smallest node index (orientation preserved), element rows sorted
-    lexicographically.
+    smallest node index (orientation preserved), element rows sorted by
+    (first, third, second) node, which puts each cell's upper triangle
+    (ll, ur, ul) before its lower one (ll, lr, ur) as the generator does.
     """
     tri = m.elements
     # one midpoint per geometric edge: key edges by sorted node pairs
@@ -134,9 +135,9 @@ def uniform_refine(m):
     children = rank[children]
 
     # rotate each triple to its smallest index (cyclic, keeps orientation),
-    # then order the rows lexicographically
+    # then order the rows by (first, third, second) node
     shift = np.argmin(children, axis=1)
     cols = (shift[:, None] + np.arange(3)) % 3
     children = np.take_along_axis(children, cols, axis=1)
-    children = children[np.lexsort((children[:, 2], children[:, 1], children[:, 0]))]
+    children = children[np.lexsort((children[:, 1], children[:, 2], children[:, 0]))]
     return Mesh(new_nodes, children, detect_boundary(new_nodes))

@@ -30,13 +30,14 @@ def test_node_numbering_row_major():
 
 
 def test_cell_split_orientation():
-    # the 2x2-node grid is the smallest case: one cell, two triangles
+    # the 2x2-node grid is the smallest case: one cell, two triangles, the
+    # upper one (ll, ur, ul) first
     m = build_grid_mesh(2)
-    npt.assert_array_equal(m.elements, [[0, 1, 3], [0, 3, 2]])
+    npt.assert_array_equal(m.elements, [[0, 3, 2], [0, 1, 3]])
     # at level 1 the first cell spans nodes 0,1,4,3
     m = build_unit_square_mesh(1)
-    npt.assert_array_equal(m.elements[0], [0, 1, 4])
-    npt.assert_array_equal(m.elements[1], [0, 4, 3])
+    npt.assert_array_equal(m.elements[0], [0, 4, 3])
+    npt.assert_array_equal(m.elements[1], [0, 1, 4])
 
 
 def meshgrid_construction(n):
@@ -47,8 +48,8 @@ def meshgrid_construction(n):
     ix, iy = np.meshgrid(np.arange(n - 1), np.arange(n - 1))
     ll = (iy * n + ix).ravel()
     elements = np.empty((2 * len(ll), 3), dtype=np.int32)
-    elements[0::2] = np.column_stack([ll, ll + 1, ll + n + 1])
-    elements[1::2] = np.column_stack([ll, ll + n + 1, ll + n])
+    elements[0::2] = np.column_stack([ll, ll + n + 1, ll + n])  # upper triangle
+    elements[1::2] = np.column_stack([ll, ll + 1, ll + n + 1])  # lower triangle
     return nodes, elements, detect_boundary(nodes)
 
 

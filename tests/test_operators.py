@@ -279,12 +279,14 @@ def test_connectivity_is_held_once_as_int32():
             ordered = bool(np.all(np.diff(idx.indt[i]) >= 0))
             assert np.shares_memory(indices[i], m.elements) == ordered
             assert (slots[i] is None) == ordered
-    # on the grid that is row 0, whose node never decreases: the batch's
-    # row 0 shares memory with the mesh's connectivity
-    m = build_unit_square_mesh(5)
-    indices = build_element_batch(m).rows.indices
-    assert np.shares_memory(indices[0], m.elements)
-    assert not any(np.shares_memory(indices[i], m.elements) for i in (1, 2))
+    # on the grid that is rows 0 and 2, whose nodes never decrease: at every
+    # level the batch's rows 0 and 2 share memory with the mesh's
+    # connectivity, and only row 1 holds columns of its own
+    for level in range(1, 9):
+        m = build_unit_square_mesh(level)
+        indices = build_element_batch(m).rows.indices
+        shared = [np.shares_memory(cols, m.elements) for cols in indices]
+        assert shared == [True, False, True], level
     # the range is checked before the cast, which would wrap node 2**32 to 0
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="nonexistent"):
@@ -299,16 +301,24 @@ def test_connectivity_is_held_once_as_int32():
         IndexArrays(np.array([[0], [1], [2]]), 2**31)
 
 
-def test_index_arrays_bytes_per_element_are_bounded():
-    # level 7: 32768 elements, 16641 nodes.  Beside the connectivity, the
-    # grid's rows 1 and 2 hold 12 bytes of columns per element each, and
-    # the three int32 row pointers ~6 bytes per element (one node per two
-    # elements)
-    m = build_unit_square_mesh(7)
+def held_index_bytes(m):
+    """Bytes per element that the node rows' index arrays hold beside the connectivity."""
     rows = build_element_batch(m).rows
     held = rows.indptr.nbytes + sum(cols.nbytes for cols in rows.indices
                                     if not np.shares_memory(cols, m.elements))
-    assert held / m.n_elements <= 31.0
+    return held / m.n_elements
+
+
+def test_index_arrays_bytes_per_element_are_bounded():
+    # level 7: 32768 elements, 16641 nodes.  Beside the connectivity, the
+    # grid's row 1 holds 12 bytes of columns per element, and the three
+    # int32 row pointers ~6 bytes per element (one node per two elements)
+    m = build_unit_square_mesh(7)
+    assert held_index_bytes(m) <= 19.0
+    # the same grid with its elements shuffled: all three rows hold 12
+    # bytes of columns per element, ~42 bytes in all, what poor element
+    # order costs
+    assert 41.0 <= held_index_bytes(shuffled(m, 3, -1)) <= 43.0
 
 
 def test_index_arrays_validation():
@@ -341,10 +351,10 @@ def one_element_mesh():
                 np.array([0, 1, 2]))
 
 
-# the grid's row 0 is in element order, the shuffled grid's rows are all
-# permuted, and a single element's rows are all in order
+# the grid's rows 0 and 2 are in element order, the shuffled grid's rows
+# are all permuted, and a single element's rows are all in order
 NODE_ROW_MESHES = {
-    "grid": (lambda: build_unit_square_mesh(3), [True, False, False]),
+    "grid": (lambda: build_unit_square_mesh(3), [True, False, True]),
     "shuffled": (lambda: shuffled(build_unit_square_mesh(3), 8, -1), [False] * 3),
     "one-element": (one_element_mesh, [True] * 3),
 }
@@ -623,17 +633,28 @@ def test_one_residual_call_allocates_less_than_one_element_array():
 
 
 def test_thread_count_outside_cap_raises_before_any_pool(monkeypatch):
-    m, batch, _, _ = make_problem(2)
+    # level 6: the node rows alone would allocate ~0.4 MB
+    m, batch, _, _ = make_problem(6)
 
     def no_pool(workers):
         raise AssertionError(f"a pool of {workers} workers was requested")
 
     monkeypatch.setattr(operators, "_pool", no_pool)
-    for threads in (0, -1, MAX_THREADS + 1):
-        with pytest.raises(ValueError, match=f"between 1 and {MAX_THREADS}"):
+    # a count that is no integer would build a batch whose first residual
+    # dies in range() with a TypeError
+    bad = [(t, f"between 1 and {MAX_THREADS}") for t in (0, -1, MAX_THREADS + 1)]
+    bad += [(t, f"must be an integer, got {t!r}") for t in (2.5, 2.0, "2")]
+    for threads, message in bad:
+        with pytest.raises(ValueError, match=message):
             dataclasses.replace(batch, threads=threads)
-        with pytest.raises(ValueError, match=f"between 1 and {MAX_THREADS}"):
-            build_element_batch(m, threads=threads)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                build_element_batch(m, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000, threads
 
 
 def test_residual_input_validation():
